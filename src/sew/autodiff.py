@@ -2,9 +2,13 @@
 
 Every value in the graph is a 2-D float64 numpy array ("Matrix"). A Node
 wraps one matrix plus a gradient accumulator of the same shape; ops build a
-dynamic per-batch graph that is discarded after each optimizer step. The
-engine keeps no global state, so independent training runs are safe to
-execute on separate threads.
+dynamic per-batch graph that is discarded after each optimizer step. Graph
+links run only from a node to its parents, never back, so a graph is freed
+by reference counting as soon as its loss node is dropped; the cyclic
+garbage collector is never needed. Once an Sgd is built over them, the
+parameters' values and grads are views into the optimizer's contiguous
+buffers. The engine keeps no global state, so independent training runs
+are safe to execute on separate threads.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def uniform_init(rows: int, cols: int, fan_in: int, rng: np.random.Generator) ->
 class Node:
     """One graph node: a value, its gradient accumulator, and parent links."""
 
-    __slots__ = ("value", "grad", "parents", "_backward")
+    __slots__ = ("value", "grad", "parents", "_backward", "__weakref__")
 
     def __init__(
         self,
@@ -71,14 +75,19 @@ class Node:
         return f"Node(shape={self.value.shape}, leaf={self._backward is None})"
 
 
-def _result(op: str, value: Matrix, parents: Sequence[Node], backward: Callable[[], None]) -> Node:
+def _result(op: str, value: Matrix, parents: Sequence[Node]) -> Node:
+    """The output node of one op; the op then sets its `_backward`.
+
+    A backward closure captures the output's grad array (and its value
+    where needed), never the output node: node -> closure -> node would
+    make every graph a reference cycle that only the cyclic collector frees.
+    """
     if not np.all(np.isfinite(value)):
         raise NumericError(f"{op} produced a non-finite result")
     out = Node.__new__(Node)
     out.value = value
     out.grad = np.zeros_like(value)
     out.parents = tuple(parents)
-    out._backward = backward
     return out
 
 
@@ -86,11 +95,12 @@ def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.value.shape} x {b.value.shape}")
     value = a.value @ b.value
-    out = _result("matmul", value, (a, b), lambda: None)
+    out = _result("matmul", value, (a, b))
+    grad = out.grad
 
     def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
+        a.grad += grad @ b.value.T
+        b.grad += a.value.T @ grad
 
     out._backward = backward
     return out
@@ -99,11 +109,12 @@ def matmul(a: Node, b: Node) -> Node:
 def elementwise_add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = _result("add", a.value + b.value, (a, b), lambda: None)
+    out = _result("add", a.value + b.value, (a, b))
+    grad = out.grad
 
     def backward():
-        a.grad += out.grad
-        b.grad += out.grad
+        a.grad += grad
+        b.grad += grad
 
     out._backward = backward
     return out
@@ -112,11 +123,12 @@ def elementwise_add(a: Node, b: Node) -> Node:
 def elementwise_sub(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"sub: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = _result("sub", a.value - b.value, (a, b), lambda: None)
+    out = _result("sub", a.value - b.value, (a, b))
+    grad = out.grad
 
     def backward():
-        a.grad += out.grad
-        b.grad -= out.grad
+        a.grad += grad
+        b.grad -= grad
 
     out._backward = backward
     return out
@@ -125,11 +137,12 @@ def elementwise_sub(a: Node, b: Node) -> Node:
 def elementwise_mul(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = _result("mul", a.value * b.value, (a, b), lambda: None)
+    out = _result("mul", a.value * b.value, (a, b))
+    grad = out.grad
 
     def backward():
-        a.grad += out.grad * b.value
-        b.grad += out.grad * a.value
+        a.grad += grad * b.value
+        b.grad += grad * a.value
 
     out._backward = backward
     return out
@@ -139,10 +152,11 @@ def scalar_mul(x: Node, c: float) -> Node:
     c = float(c)
     if not np.isfinite(c):
         raise NumericError("scalar_mul: scalar is not finite")
-    out = _result("scalar_mul", c * x.value, (x,), lambda: None)
+    out = _result("scalar_mul", c * x.value, (x,))
+    grad = out.grad
 
     def backward():
-        x.grad += c * out.grad
+        x.grad += c * grad
 
     out._backward = backward
     return out
@@ -152,11 +166,12 @@ def add_bias(x: Node, b: Node) -> Node:
     """Add a column vector b (w x 1) to every column of x (w x batch)."""
     if b.value.shape != (x.value.shape[0], 1):
         raise DimensionError(f"add_bias: bias {b.value.shape} does not fit rows of {x.value.shape}")
-    out = _result("add_bias", x.value + b.value, (x, b), lambda: None)
+    out = _result("add_bias", x.value + b.value, (x, b))
+    grad = out.grad
 
     def backward():
-        x.grad += out.grad
-        b.grad += out.grad.sum(axis=1, keepdims=True)
+        x.grad += grad
+        b.grad += grad.sum(axis=1, keepdims=True)
 
     out._backward = backward
     return out
@@ -164,10 +179,11 @@ def add_bias(x: Node, b: Node) -> Node:
 
 def tanh(x: Node) -> Node:
     value = np.tanh(x.value)
-    out = _result("tanh", value, (x,), lambda: None)
+    out = _result("tanh", value, (x,))
+    grad = out.grad
 
     def backward():
-        x.grad += out.grad * (1.0 - out.value * out.value)
+        x.grad += grad * (1.0 - value * value)
 
     out._backward = backward
     return out
@@ -180,10 +196,11 @@ def sigmoid(x: Node) -> Node:
     value[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     value[~pos] = ev / (1.0 + ev)
-    out = _result("sigmoid", value, (x,), lambda: None)
+    out = _result("sigmoid", value, (x,))
+    grad = out.grad
 
     def backward():
-        x.grad += out.grad * out.value * (1.0 - out.value)
+        x.grad += grad * value * (1.0 - value)
 
     out._backward = backward
     return out
@@ -191,20 +208,22 @@ def sigmoid(x: Node) -> Node:
 
 def mean_center_rows(x: Node) -> Node:
     """Subtract the per-row mean taken across columns (samples)."""
-    out = _result("mean_center_rows", x.value - x.value.mean(axis=1, keepdims=True), (x,), lambda: None)
+    out = _result("mean_center_rows", x.value - x.value.mean(axis=1, keepdims=True), (x,))
+    grad = out.grad
 
     def backward():
-        x.grad += out.grad - out.grad.mean(axis=1, keepdims=True)
+        x.grad += grad - grad.mean(axis=1, keepdims=True)
 
     out._backward = backward
     return out
 
 
 def sum_all(x: Node) -> Node:
-    out = _result("sum_all", np.array([[x.value.sum()]]), (x,), lambda: None)
+    out = _result("sum_all", np.array([[x.value.sum()]]), (x,))
+    grad = out.grad
 
     def backward():
-        x.grad += out.grad[0, 0]
+        x.grad += grad[0, 0]
 
     out._backward = backward
     return out
@@ -217,10 +236,11 @@ def mse_loss(pred: Node, target) -> Node:
         raise DimensionError(f"mse_loss: shapes differ, {pred.value.shape} vs {target.shape}")
     diff = pred.value - target
     n = diff.size
-    out = _result("mse_loss", np.array([[(diff * diff).sum() / n]]), (pred,), lambda: None)
+    out = _result("mse_loss", np.array([[(diff * diff).sum() / n]]), (pred,))
+    grad = out.grad
 
     def backward():
-        pred.grad += out.grad[0, 0] * (2.0 / n) * diff
+        pred.grad += grad[0, 0] * (2.0 / n) * diff
 
     out._backward = backward
     return out
@@ -255,11 +275,22 @@ def backward(loss: Node) -> None:
             node._backward()
 
 
+# elements per slice of the SGD update: the scratch rows stay in cache
+_CHUNK = 1 << 15
+
+
 class Sgd:
     """SGD with momentum and L2 weight decay over a fixed parameter list.
 
     Update per parameter: g = grad + weight_decay * param;
     v = momentum * v + g; param -= lr * v.
+
+    The optimizer owns three contiguous buffers (values, grads, velocity).
+    On construction every parameter's `value` and `grad`, and each entry of
+    `velocity`, becomes a view into them, so zeroing is one fill and the
+    update runs over a few large slices instead of per array. Write into
+    those arrays in place: a parameter whose `value` or `grad` has been
+    rebound makes `step` raise GraphError.
     """
 
     def __init__(
@@ -279,27 +310,58 @@ class Sgd:
         if clip_norm is not None and clip_norm <= 0:
             raise ConfigError(f"clip_norm must be > 0, got {clip_norm}")
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ConfigError("a parameter is listed more than once")
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.clip_norm = clip_norm
-        self.velocity = [np.zeros_like(p.value) for p in self.params]
+        size = sum(p.value.size for p in self.params)
+        self._values = np.empty(size)
+        self._grads = np.empty(size)
+        self._velocity = np.zeros(size)
+        self._scratch = np.empty((2, min(size, _CHUNK)))
+        self.velocity = []
+        start = 0
+        for p in self.params:
+            shape, stop = p.value.shape, start + p.value.size
+            self._values[start:stop] = p.value.ravel()
+            self._grads[start:stop] = p.grad.ravel()
+            p.value = self._values[start:stop].reshape(shape)
+            p.grad = self._grads[start:stop].reshape(shape)
+            self.velocity.append(self._velocity[start:stop].reshape(shape))
+            start = stop
+        self._views = [(p.value, p.grad) for p in self.params]
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._grads.fill(0.0)
 
     def step(self) -> None:
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise NumericError("sgd step aborted: non-finite gradient")
+        for i, (p, (value, grad)) in enumerate(zip(self.params, self._views)):
+            if p.value is not value or p.grad is not grad:
+                raise GraphError(f"parameter {i} (shape {value.shape}) had its value or grad "
+                                 "rebound after the optimizer was built; write into it in place")
+        if not np.isfinite(self._grads).all():
+            raise NumericError("sgd step aborted: non-finite gradient")
         scale = 1.0
         if self.clip_norm is not None:
-            total = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in self.params))
+            total = np.sqrt(sum(float((g * g).sum()) for _, g in self._views))
             if total > self.clip_norm:
                 scale = self.clip_norm / total
-        for p, v in zip(self.params, self.velocity):
-            g = scale * p.grad + self.weight_decay * p.value
+        # g = scale * grad + wd * value, summed in the other order (IEEE
+        # addition commutes exactly), so every entry matches the formula above
+        for start in range(0, self._values.size, _CHUNK):
+            value = self._values[start:start + _CHUNK]
+            grad = self._grads[start:start + _CHUNK]
+            v = self._velocity[start:start + _CHUNK]
+            buf, scaled = self._scratch[:, :value.size]
+            np.multiply(value, self.weight_decay, out=buf)
+            if scale == 1.0:
+                buf += grad
+            else:
+                np.multiply(grad, scale, out=scaled)
+                buf += scaled
             v *= self.momentum
-            v += g
-            p.value -= self.lr * v
+            v += buf
+            np.multiply(v, self.lr, out=buf)
+            value -= buf

@@ -66,7 +66,13 @@ def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_sec
     shift_pending = False
     if meta_path.exists():
         with open(meta_path) as fh:
-            shift_pending = bool(json.load(fh).get("shift_pending", False))
+            try:
+                meta = json.load(fh)
+            except ValueError as err:
+                raise DataError(f"{meta_path}: not valid JSON ({err})") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"{meta_path}: must be a JSON object")
+        shift_pending = bool(meta.get("shift_pending", False))
     if shift_pending and shift_seconds > 0:
         labels, offset = shift_labels(labels, shift_seconds, frame_step_seconds)
         n = labels.shape[1]

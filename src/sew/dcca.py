@@ -144,7 +144,8 @@ def cca_correlation(m_ss: Node, m_sw: Node, k: int, r1: float, r2: float) -> Nod
             "singular values %d and %d nearly tied (gap %.3e); top-k gradient is unreliable here",
             k, k + 1, float(svals[k - 1] - svals[k]),
         )
-    out = _result("cca_correlation", np.array([[rho]]), (m_ss, m_sw), lambda: None)
+    out = _result("cca_correlation", np.array([[rho]]), (m_ss, m_sw))
+    grad = out.grad
 
     def backward():
         uk = u[:, :k]
@@ -152,7 +153,7 @@ def cca_correlation(m_ss: Node, m_sw: Node, k: int, r1: float, r2: float) -> Nod
         delta_sw = inv_s @ uk @ vk.T @ inv_w
         delta_ss = -0.5 * inv_s @ (uk * svals[:k]) @ uk.T @ inv_s
         delta_ww = -0.5 * inv_w @ (vk * svals[:k]) @ vk.T @ inv_w
-        g = out.grad[0, 0]
+        g = grad[0, 0]
         m_ss.grad += g * (2.0 * delta_ss @ hs + delta_sw @ hw) / (p - 1)
         m_sw.grad += g * (2.0 * delta_ww @ hw + delta_sw.T @ hs) / (p - 1)
 

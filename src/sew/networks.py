@@ -375,22 +375,35 @@ def save_model(model: SewModel, path, deployment: bool = False) -> None:
             _write_member(zf, pname + ".npy", _npy_bytes(value))
 
 
-def _read_npy(zf: zipfile.ZipFile, name: str) -> Matrix:
-    with zf.open(name) as fh:
-        return np.lib.format.read_array(io.BytesIO(fh.read()), allow_pickle=False)
+def _read_npy(zf: zipfile.ZipFile, path, name: str) -> Matrix:
+    try:
+        with zf.open(name) as fh:
+            return np.lib.format.read_array(io.BytesIO(fh.read()), allow_pickle=False)
+    except KeyError:
+        raise ExportError(f"{path}: model file lacks member {name}") from None
+    except (zipfile.BadZipFile, ValueError) as err:
+        raise ExportError(f"{path}: member {name} is unreadable ({err})") from None
 
 
 def load_model(path) -> SewModel:
-    with zipfile.ZipFile(path, "r") as zf:
+    try:
+        zf = zipfile.ZipFile(path, "r")
+    except zipfile.BadZipFile:
+        raise ExportError(f"{path}: not a model file (not a zip archive)") from None
+    with zf:
         try:
             meta = json.loads(zf.read("meta.json"))
         except KeyError:
             raise ExportError(f"{path}: not a model file (missing meta.json)") from None
+        except ValueError as err:
+            raise ExportError(f"{path}: meta.json is not valid JSON ({err})") from None
+        if not isinstance(meta, dict):
+            raise ExportError(f"{path}: meta.json must be a JSON object")
         if meta.get("format_version") != FORMAT_VERSION:
             raise ExportError(f"{path}: unsupported model format {meta.get('format_version')!r}")
 
-        def rebuild(name):
-            info = meta["blocks"].get(name)
+        def rebuild(name, required=False):
+            info = meta["blocks"][name] if required else meta["blocks"].get(name)
             if info is None:
                 return None
             if info["type"] == "mlp":
@@ -398,19 +411,23 @@ def load_model(path) -> SewModel:
             spec = GruRegressorSpec(info["num_layers"], info["hidden"], info["output"])
             return GruRegressor(spec, info["input_dim"], None)
 
-        model = SewModel(
-            meta["latent_dim"], meta["d1"], meta["d2"], meta["ablation"],
-            rebuild("w_encoder"), rebuild("regressor"),
-            s_decoder1=rebuild("s_decoder1"), s_encoder=rebuild("s_encoder"),
-            s_decoder2=rebuild("s_decoder2"),
-        )
+        try:
+            model = SewModel(
+                meta["latent_dim"], meta["d1"], meta["d2"], meta["ablation"],
+                rebuild("w_encoder", required=True), rebuild("regressor", required=True),
+                s_decoder1=rebuild("s_decoder1"), s_encoder=rebuild("s_encoder"),
+                s_decoder2=rebuild("s_decoder2"),
+            )
+            scalers = meta["scalers"]
+        except KeyError as err:
+            raise ExportError(f"{path}: meta.json lacks required key {err.args[0]!r}") from None
         for pname, param in model.named_parameters():
-            stored = _read_npy(zf, pname + ".npy")
+            stored = _read_npy(zf, path, pname + ".npy")
             if stored.shape != param.value.shape:
                 raise ExportError(f"{path}: parameter {pname} has shape {stored.shape}, expected {param.value.shape}")
             param.value = stored
             param.grad = np.zeros_like(stored)
-        for sname in meta["scalers"]:
-            scaler = Standardizer(_read_npy(zf, sname + ".mean.npy"), _read_npy(zf, sname + ".scale.npy"))
+        for sname in scalers:
+            scaler = Standardizer(_read_npy(zf, path, sname + ".mean.npy"), _read_npy(zf, path, sname + ".scale.npy"))
             setattr(model, sname, scaler)
     return model

@@ -272,8 +272,9 @@ def _snapshot(model: SewModel) -> dict:
 
 
 def _restore(model: SewModel, snap: dict) -> None:
+    # in place: the arrays are views into the optimizer's buffers
     for name, p in model.named_parameters():
-        p.value = snap[name].copy()
+        p.value[...] = snap[name]
         p.zero_grad()
 
 

@@ -5,6 +5,8 @@ central differences) so that a bug in the library cannot hide in a
 shared code path.
 """
 
+import weakref
+
 import numpy as np
 
 
@@ -57,3 +59,16 @@ def naive_cov(a, b, r=0.0):
     elif r != 0.0:
         raise ValueError("ridge only applies to square covariances")
     return out
+
+
+def intermediate_refs(root, keep=()):
+    """Weak references to every node reachable from root except those in
+    `keep` (e.g. parameters, which their model keeps alive)."""
+    keep_ids = {id(k) for k in keep}
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return [weakref.ref(n) for i, n in seen.items() if i not in keep_ids]

@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
-from _oracles import fd_gradients, rel_errors
+from _oracles import fd_gradients, intermediate_refs, rel_errors
 from sew.autodiff import (
+    _CHUNK,
     Node,
     Sgd,
     add_bias,
@@ -243,6 +246,28 @@ def test_fd_sigmoid_and_centering():
     assert rel_errors(w.grad, fd[0]).max() < 1e-4
 
 
+def test_graph_freed_by_refcount():
+    """No op's backward closure holds its own node: once the loss is
+    dropped, every node but the parameters dies without the cyclic collector."""
+    rng = make_rng(22)
+    w = Node(rng.standard_normal((3, 4)))
+    b = Node(rng.standard_normal((3, 1)))
+    gc.disable()
+    try:
+        x = Node(rng.standard_normal((4, 5)))
+        h = add_bias(matmul(w, x), b)
+        mixed = elementwise_mul(tanh(h), sigmoid(elementwise_sub(h, Node(np.ones((3, 5))))))
+        centered = mean_center_rows(elementwise_add(mixed, scalar_mul(h, 0.5)))
+        loss = elementwise_add(mse_loss(centered, np.zeros((3, 5))), sum_all(h))
+        backward(loss)
+        refs = intermediate_refs(loss, keep=(w, b))
+        assert len(refs) == 14
+        del x, h, mixed, centered, loss
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
+
+
 def test_overflow_raises_numeric_error():
     big = Node(np.full((1, 1), 1e308))
     with np.errstate(over="ignore"):
@@ -335,3 +360,91 @@ class TestSgd:
             Sgd([p], lr=0.1, weight_decay=-0.1)
         with pytest.raises(ConfigError):
             Sgd([p], lr=0.1, clip_norm=0.0)
+
+
+def reference_sgd(values, grad_steps, lr, momentum, weight_decay, clip_norm):
+    """The update written per parameter, as the docstring states it."""
+    values = [v.copy() for v in values]
+    velocity = [np.zeros_like(v) for v in values]
+    for grads in grad_steps:
+        scale = 1.0
+        if clip_norm is not None:
+            total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+            if total > clip_norm:
+                scale = clip_norm / total
+        for p, g, v in zip(values, grads, velocity):
+            v *= momentum
+            v += scale * g + weight_decay * p
+            p -= lr * v
+    return values, velocity
+
+
+class TestFlatSgd:
+    SHAPES = [(1, 1), (3, 7), (190, 190), (5, 1), (2, 2)]
+
+    def draw(self, seed=0):
+        assert max(r * c for r, c in self.SHAPES) > _CHUNK  # one array spans chunks
+        rng = make_rng(seed, 31)
+        values = [rng.standard_normal(shape) for shape in self.SHAPES]
+        # whole-gradient norms of about 1.9, 3.8, 5.7 and 7.6
+        grad_steps = [[rng.standard_normal(shape) * 0.01 * k for shape in self.SHAPES] for k in range(1, 5)]
+        return values, grad_steps
+
+    @pytest.mark.parametrize("momentum, weight_decay, clip_norm", [
+        (0.0, 0.0, None),
+        (0.7, 1e-4, None),
+        (0.9, 0.0, 1e-3),   # clips every step
+        (0.7, 1e-2, 3.0),   # clips all steps but the first
+    ])
+    def test_matches_per_parameter_formula_bitwise(self, momentum, weight_decay, clip_norm):
+        values, grad_steps = self.draw()
+        expected, expected_v = reference_sgd(values, grad_steps, 0.05, momentum, weight_decay, clip_norm)
+        params = [Node(v) for v in values]
+        opt = Sgd(params, lr=0.05, momentum=momentum, weight_decay=weight_decay, clip_norm=clip_norm)
+        for grads in grad_steps:
+            opt.zero_grad()
+            for p, g in zip(params, grads):
+                p.grad += g
+            opt.step()
+        for p, e, v, ev in zip(params, expected, opt.velocity, expected_v):
+            assert p.value.tobytes() == e.tobytes()
+            assert v.tobytes() == ev.tobytes()
+
+    def test_nan_in_last_grad_moves_nothing(self):
+        values, grad_steps = self.draw(1)
+        params = [Node(v) for v in values]
+        opt = Sgd(params, lr=0.05, momentum=0.7, weight_decay=1e-4)
+        for p, g in zip(params, grad_steps[0]):
+            p.grad += g
+        opt.step()
+        before = [p.value.copy() for p in params], [v.copy() for v in opt.velocity]
+        params[-1].grad[-1, -1] = np.nan
+        with pytest.raises(NumericError):
+            opt.step()
+        for p, v, pb, vb in zip(params, opt.velocity, *before):
+            np.testing.assert_array_equal(p.value, pb)
+            np.testing.assert_array_equal(v, vb)
+
+    def test_duplicate_parameter_rejected(self):
+        p, q = Node(np.ones((2, 2))), Node(np.ones((1, 1)))
+        with pytest.raises(ConfigError):
+            Sgd([p, q, p], lr=0.1)
+
+    @pytest.mark.parametrize("attr", ["value", "grad"])
+    def test_rebound_parameter_raises(self, attr):
+        p, q = Node(np.ones((2, 2))), Node(np.ones((1, 1)))
+        opt = Sgd([p, q], lr=0.1)
+        setattr(q, attr, np.zeros((1, 1)))
+        with pytest.raises(GraphError):
+            opt.step()
+
+    def test_parameters_are_views_of_one_buffer(self):
+        p, q = Node(np.ones((2, 3))), Node(np.full((1, 1), 2.0))
+        opt = Sgd([p, q], lr=0.1)
+        assert p.value.base is q.value.base and p.grad.base is q.grad.base
+        p.grad += 1.0
+        q.grad += 1.0
+        opt.zero_grad()
+        assert not p.grad.any() and not q.grad.any()
+        np.testing.assert_array_equal(p.value, np.ones((2, 3)))
+        assert q.value[0, 0] == 2.0

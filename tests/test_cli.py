@@ -150,6 +150,14 @@ class TestTrainCommand:
         assert run("train", "--data", data, "--out", tmp_path / "o", "--config", cfg) == 1
         assert "d1" in capsys.readouterr().err
 
+    def test_malformed_dataset_json(self, tmp_path, capsys):
+        data = small_dataset(tmp_path)
+        (data / "dataset.json").write_text("{bad")
+        assert run("train", "--data", data, "--out", tmp_path / "r",
+                   "--config", small_config(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dataset.json" in err
+
 
 class TestAblateCommand:
     def test_writes_full_table(self, tmp_path, capsys):
@@ -218,6 +226,14 @@ class TestEvalCommand:
         run("eval", "--model", deploy, "--features", data / "dev_weak.csv",
             "--labels", data / "dev_labels.csv", "--pred-out", b)
         np.testing.assert_array_equal(load_labels(a), load_labels(b))
+
+    def test_non_zip_model_file(self, tmp_path, capsys):
+        data = small_dataset(tmp_path)
+        model = tmp_path / "m.npz"
+        model.write_bytes(b"not a zip")
+        assert run("eval", "--model", model, "--data", data) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err
 
     def test_mode_flags_validated(self, tmp_path, capsys):
         assert run("eval") == 1

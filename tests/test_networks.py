@@ -1,3 +1,4 @@
+import json
 import zipfile
 from types import SimpleNamespace
 
@@ -320,6 +321,59 @@ class TestSerialization:
             zf.writestr("something.txt", "hello")
         with pytest.raises(ExportError):
             load_model(path)
+
+    def test_non_zip_file_named(self, tmp_path):
+        path = tmp_path / "m.npz"
+        path.write_bytes(b"not a zip")
+        with pytest.raises(ExportError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
+    def rewrite_meta(self, path, edit):
+        with zipfile.ZipFile(path) as zf:
+            members = {n: zf.read(n) for n in zf.namelist()}
+        meta = json.loads(members["meta.json"])
+        edit(meta)
+        members["meta.json"] = json.dumps(meta).encode()
+        with zipfile.ZipFile(path, "w") as zf:
+            for n, payload in members.items():
+                zf.writestr(n, payload)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda meta: meta.pop("d2"), "d2"),
+        (lambda meta: meta.pop("scalers"), "scalers"),
+        (lambda meta: meta["blocks"].pop("regressor"), "regressor"),
+        (lambda meta: meta["blocks"]["w_encoder"].pop("input_dim"), "input_dim"),
+    ])
+    def test_missing_meta_key_named(self, tmp_path, edit, key):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        self.rewrite_meta(path, edit)
+        with pytest.raises(ExportError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value) and repr(key) in str(exc.value)
+
+    def test_missing_member_named(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        with zipfile.ZipFile(path) as zf:
+            members = {n: zf.read(n) for n in zf.namelist() if n != "scaler_weak.mean.npy"}
+        with zipfile.ZipFile(path, "w") as zf:
+            for n, payload in members.items():
+                zf.writestr(n, payload)
+        with pytest.raises(ExportError) as exc:
+            load_model(path)
+        assert "scaler_weak.mean.npy" in str(exc.value)
+
+    def test_corrupt_member_named(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        raw = bytearray(path.read_bytes())
+        raw[raw.find(b"w_encoder.layers.0.weight.npy") + 200] ^= 0xFF  # inside the member's data
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ExportError) as exc:
+            load_model(path)
+        assert "w_encoder.layers.0.weight.npy" in str(exc.value)
 
     def test_shape_mismatch_detected(self, tmp_path):
         model = self.build("unimodal")

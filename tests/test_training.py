@@ -1,10 +1,11 @@
 import dataclasses
+import gc
 import logging
 
 import numpy as np
 import pytest
 
-from _oracles import fd_gradients, rel_errors
+from _oracles import fd_gradients, intermediate_refs, rel_errors
 from sew.autodiff import backward, make_rng
 from sew.data import Dataset, ModalityBatch
 from sew.errors import ConfigError, ExportError, NumericError
@@ -191,6 +192,20 @@ class TestSewLoss:
         assert on_pool["e3"] != on_batch["e3"]
         assert on_pool["e4"] == on_batch["e4"]
 
+    def test_graph_freed_without_cyclic_collector(self):
+        cfg = tiny_config(r1=1e-2, r2=1e-2)
+        model = assemble_sew(cfg, 4, 3, seed=6)
+        gc.disable()
+        try:
+            total, comps = sew_loss(model, tiny_batch(seed=6), cfg, cca_batch=tiny_batch(p=16, seed=7))
+            backward(total)
+            refs = intermediate_refs(total, keep=[p for _, p in model.named_parameters()])
+            assert len(refs) > 40  # all four terms and the pooled CCA views
+            del total, comps
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
+
 
 class TestTrain:
     def test_dims_must_match_config(self):
@@ -302,6 +317,16 @@ class TestTrain:
 
         res = evaluate(dev_set.labels, model.predict(dev_set.m_w))
         assert res.ccc == pytest.approx(best.dev_ccc, abs=1e-12)
+
+    def test_leaves_no_cyclic_garbage(self):
+        cfg = tiny_config(epochs=2, cca_batch_size=16, r1=1e-2, r2=1e-2)
+        gc.collect()
+        gc.disable()
+        try:
+            train(cfg, tiny_dataset(), tiny_dataset(seed=1))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_cca_pool_trains(self):
         cfg = tiny_config(epochs=2, cca_batch_size=16, r1=1e-2, r2=1e-2)
