@@ -25,10 +25,10 @@ from pathlib import Path
 from .data import (
     Dataset,
     SyntheticSpec,
+    apply_shift,
     generate_synthetic,
     load_features,
     load_labels,
-    shift_labels,
     write_csv,
 )
 from .errors import ConfigError, DataError, SewError
@@ -74,10 +74,9 @@ def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_sec
             raise DataError(f"{meta_path}: must be a JSON object")
         shift_pending = bool(meta.get("shift_pending", False))
     if shift_pending and shift_seconds > 0:
-        labels, offset = shift_labels(labels, shift_seconds, frame_step_seconds)
-        n = labels.shape[1]
-        strong, weak = strong[:, :n], weak[:, :n]
-        log.info("%s/%s: applied %d-frame label shift, %d pairs", data_dir, split, offset, n)
+        strong, _ = apply_shift(strong, labels, shift_seconds, frame_step_seconds)
+        weak, labels = apply_shift(weak, labels, shift_seconds, frame_step_seconds)
+        log.info("%s/%s: applied %g s label shift, %d pairs", data_dir, split, shift_seconds, labels.shape[1])
     return Dataset(strong, weak, labels)
 
 
@@ -230,13 +229,8 @@ def cmd_eval(args) -> int:
         else:
             if not (args.features and args.labels):
                 raise ConfigError("--features and --labels go together")
-            feats = load_features(args.features)
-            truth = load_labels(args.labels)
-            if args.shift_seconds > 0:
-                truth, _ = shift_labels(truth, args.shift_seconds, args.frame_step_seconds)
-                feats = feats[:, :truth.shape[1]]
-            if feats.shape[1] != truth.shape[1]:
-                raise DataError(f"{feats.shape[1]} feature frames vs {truth.shape[1]} labels")
+            feats, truth = apply_shift(load_features(args.features), load_labels(args.labels),
+                                       args.shift_seconds, args.frame_step_seconds)
         preds = model.predict(feats)
         if args.pred_out:
             write_csv(args.pred_out, preds)

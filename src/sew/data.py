@@ -305,15 +305,12 @@ def batcher(dataset: Dataset, batch_size: int, rng, shuffle: bool = True):
     """Yield ModalityBatch covers of the dataset; a trailing batch smaller
     than 2 is dropped (covariance needs at least 2 samples).
 
-    `rng` may be a Generator (draws advance it, so successive epochs differ)
-    or an int seed.
+    Shuffling draws from the Generator `rng`, so successive epochs differ.
     """
     if batch_size < 2:
         raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     if dataset.n == 0:
         raise DataError("cannot batch an empty dataset")
-    if isinstance(rng, (int, np.integer)):
-        rng = make_rng(int(rng))
     order = rng.permutation(dataset.n) if shuffle else np.arange(dataset.n)
     for start in range(0, dataset.n, batch_size):
         idx = order[start:start + batch_size]

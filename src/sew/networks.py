@@ -1,5 +1,11 @@
-"""Model blocks and assembly: MLP encoders/decoders, the stacked GRU-cell
-regressor, the combined transfer model, and (de)serialization.
+"""Model blocks and assembly: MLP encoders/decoders, the regressor R, the
+combined transfer model, and (de)serialization.
+
+R is a stack of gated layers, each one GRU step from a zero hidden state,
+h = sigmoid(W_z x + b_z) * tanh(W_h x + b_h), under a linear output layer.
+Unlike the paper's GRU it runs over no time axis: every frame is scored
+on its own, so the recurrent weights and the reset gate never act and are
+not kept.
 
 Conventions: features live in columns (a block maps in_dim x batch to
 out_dim x batch); weights are out_dim x in_dim; biases are column vectors.
@@ -19,7 +25,10 @@ from .autodiff import Matrix, Node, as_matrix, make_rng, uniform_init
 from .data import Standardizer
 from .errors import ConfigError, DimensionError, ExportError
 
-FORMAT_VERSION = 1
+# 2: the regressor's layers hold no recurrent or reset-gate weights. A
+# format-1 file's extra members are never read; they never moved an output.
+FORMAT_VERSION = 2
+_READABLE_FORMATS = (1, 2)
 
 ABLATIONS = ("full", "no_sd2", "no_cca", "no_sd1", "no_cca_sd1", "unimodal")
 
@@ -128,60 +137,49 @@ class Mlp:
         return out
 
 
-def build_mlp(spec: MlpSpec, input_dim: int, seed: int) -> Mlp:
-    return Mlp(spec, input_dim, make_rng(seed))
+def _discard(rows: int, cols: int, fan_in: int, rng) -> None:
+    """Advance `rng` past one weight draw that nothing keeps."""
+    if rng is not None:
+        uniform_init(rows, cols, fan_in, rng)
 
 
-class GruCell:
-    """Single-step GRU cell.
+class GatedLayer:
+    """One GRU step from a zero hidden state: with h = 0 the recurrent
+    weights U_z, U_r, U_h and the whole reset gate drop out, leaving
 
-    z = sigmoid(W_z x + U_z h + b_z)
-    r = sigmoid(W_r x + U_r h + b_r)
-    cand = tanh(W_h x + U_h (r * h) + b_h)
-    h_new = (1 - z) * h + z * cand
+    h = sigmoid(W_z x + b_z) * tanh(W_h x + b_h)
     """
 
     def __init__(self, in_dim: int, hidden: int, rng):
         self.in_dim = int(in_dim)
-        self.hidden = int(hidden)
-        # draw order is part of the determinism contract: z, r, h gates,
-        # input weight before recurrent weight
+        # the draw order of a full GRU cell (W_z, U_z, W_r, U_r, W_h, U_h)
+        # is part of the determinism contract: the dropped weights are
+        # still drawn, so every weight drawn after them starts unchanged
         self.w_z = _param(hidden, in_dim, in_dim, rng)
-        self.u_z = _param(hidden, hidden, hidden, rng)
-        self.b_z = Node(np.zeros((hidden, 1)))
-        self.w_r = _param(hidden, in_dim, in_dim, rng)
-        self.u_r = _param(hidden, hidden, hidden, rng)
-        self.b_r = Node(np.zeros((hidden, 1)))
+        _discard(hidden, hidden, hidden, rng)
+        _discard(hidden, in_dim, in_dim, rng)
+        _discard(hidden, hidden, hidden, rng)
         self.w_h = _param(hidden, in_dim, in_dim, rng)
-        self.u_h = _param(hidden, hidden, hidden, rng)
+        _discard(hidden, hidden, hidden, rng)
+        self.b_z = Node(np.zeros((hidden, 1)))
         self.b_h = Node(np.zeros((hidden, 1)))
 
-    def forward(self, x: Node, h_prev: Node) -> Node:
+    def forward(self, x: Node) -> Node:
         if x.shape[0] != self.in_dim:
-            raise DimensionError(f"cell expects {self.in_dim}-d input, got {x.shape}")
-        if h_prev.shape != (self.hidden, x.shape[1]):
-            raise DimensionError(f"hidden state must be {(self.hidden, x.shape[1])}, got {h_prev.shape}")
-        z = ad.sigmoid(ad.add_bias(ad.elementwise_add(ad.matmul(self.w_z, x), ad.matmul(self.u_z, h_prev)), self.b_z))
-        r = ad.sigmoid(ad.add_bias(ad.elementwise_add(ad.matmul(self.w_r, x), ad.matmul(self.u_r, h_prev)), self.b_r))
-        cand = ad.tanh(
-            ad.add_bias(
-                ad.elementwise_add(ad.matmul(self.w_h, x), ad.matmul(self.u_h, ad.elementwise_mul(r, h_prev))),
-                self.b_h,
-            )
-        )
-        ones = Node(np.ones(z.shape))
-        return ad.elementwise_add(ad.elementwise_mul(ad.elementwise_sub(ones, z), h_prev), ad.elementwise_mul(z, cand))
+            raise DimensionError(f"gated layer expects {self.in_dim}-d input, got {x.shape}")
+        z = ad.sigmoid(ad.add_bias(ad.matmul(self.w_z, x), self.b_z))
+        cand = ad.tanh(ad.add_bias(ad.matmul(self.w_h, x), self.b_h))
+        return ad.elementwise_mul(z, cand)
 
     def named_parameters(self, prefix: str):
         return [
-            (f"{prefix}.w_z", self.w_z), (f"{prefix}.u_z", self.u_z), (f"{prefix}.b_z", self.b_z),
-            (f"{prefix}.w_r", self.w_r), (f"{prefix}.u_r", self.u_r), (f"{prefix}.b_r", self.b_r),
-            (f"{prefix}.w_h", self.w_h), (f"{prefix}.u_h", self.u_h), (f"{prefix}.b_h", self.b_h),
+            (f"{prefix}.w_z", self.w_z), (f"{prefix}.b_z", self.b_z),
+            (f"{prefix}.w_h", self.w_h), (f"{prefix}.b_h", self.b_h),
         ]
 
 
 class GruRegressor:
-    """Stacked single-step GRU cells (zero initial hidden state per sample)
+    """Stacked gated layers (each one GRU step from a zero hidden state)
     feeding one linear output layer."""
 
     def __init__(self, spec: GruRegressorSpec, input_dim: int, rng):
@@ -190,14 +188,13 @@ class GruRegressor:
         self.cells = []
         in_dim = self.input_dim
         for _ in range(spec.num_layers):
-            self.cells.append(GruCell(in_dim, spec.hidden, rng))
+            self.cells.append(GatedLayer(in_dim, spec.hidden, rng))
             in_dim = spec.hidden
         self.out = Linear(spec.hidden, spec.output, rng)
 
     def forward(self, x: Node) -> Node:
         for cell in self.cells:
-            h0 = Node(np.zeros((cell.hidden, x.shape[1])))
-            x = cell.forward(x, h0)
+            x = cell.forward(x)
         return self.out.forward(x)
 
     def named_parameters(self, prefix: str):
@@ -329,7 +326,7 @@ def _npy_bytes(arr: Matrix) -> bytes:
     return buf.getvalue()
 
 
-def _block_meta(model: SewModel, name: str, block) -> dict:
+def _block_meta(block) -> dict:
     if isinstance(block, Mlp):
         return {"type": "mlp", "layer_sizes": list(block.spec.layer_sizes), "input_dim": block.input_dim}
     return {
@@ -353,7 +350,7 @@ def save_model(model: SewModel, path, deployment: bool = False) -> None:
         "d1": model.d1,
         "d2": model.d2,
         "ablation": model.ablation,
-        "blocks": {name: _block_meta(model, name, block) for name, block in kept},
+        "blocks": {name: _block_meta(block) for name, block in kept},
         "scalers": [],
     }
     scalers = [("scaler_weak", model.scaler_weak)]
@@ -399,7 +396,7 @@ def load_model(path) -> SewModel:
             raise ExportError(f"{path}: meta.json is not valid JSON ({err})") from None
         if not isinstance(meta, dict):
             raise ExportError(f"{path}: meta.json must be a JSON object")
-        if meta.get("format_version") != FORMAT_VERSION:
+        if meta.get("format_version") not in _READABLE_FORMATS:
             raise ExportError(f"{path}: unsupported model format {meta.get('format_version')!r}")
 
         def rebuild(name, required=False):

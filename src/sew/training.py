@@ -51,9 +51,6 @@ ABLATION_LABELS = {
     "unimodal": "unimodal",
 }
 
-_CONFIG_KEYS = None  # filled after SewConfig is defined
-
-
 @dataclass(frozen=True)
 class SewConfig:
     """Everything one training run depends on besides the data itself."""
@@ -147,12 +144,12 @@ class SewConfig:
             fh.write("\n")
 
 
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SewConfig))
+
+
 def config_from_dict(raw: dict, overrides: dict | None = None) -> SewConfig:
     """Build a config from parsed JSON; unknown or malformed keys are
     reported by name."""
-    global _CONFIG_KEYS
-    if _CONFIG_KEYS is None:
-        _CONFIG_KEYS = {f.name for f in dataclasses.fields(SewConfig)}
     merged = dict(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
@@ -214,12 +211,9 @@ class EpochReport:
     dev_acc: float
 
 
-class LossBreakdown(dict):
-    """Per-batch component values keyed e1..e4; missing terms absent."""
-
-
 def sew_loss(model: SewModel, batch, config: SewConfig, cca_batch=None):
-    """Total weighted loss for one batch plus its component breakdown.
+    """Total weighted loss for one batch plus its component values, a dict
+    keyed e1..e4 in which inactive terms are absent.
 
     total = alpha * mse(M_S, S_D1(W_E(M_W)))        translation
           + beta  * mse(M_S, S_D2(S_E(M_S)))        autoencoding
@@ -241,7 +235,7 @@ def sew_loss(model: SewModel, batch, config: SewConfig, cca_batch=None):
     m_sw = model.w_encoder.forward(m_w)
     p_l = model.regressor.forward(m_sw)
     l4 = ad.mse_loss(p_l, batch.labels)
-    components = LossBreakdown(e4=float(l4.value[0, 0]))
+    components = {"e4": float(l4.value[0, 0])}
     total = l4
 
     m_ss = None
@@ -336,7 +330,7 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
                 opt.step()
             except NumericError as err:
                 raise NumericError(
-                    f"epoch {epoch} batch {i}: {err}; components {dict(comps)}") from err
+                    f"epoch {epoch} batch {i}: {err}; components {comps}") from err
             for key, value in comps.items():
                 sums[key] += value
                 counts[key] += 1

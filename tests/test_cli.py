@@ -9,8 +9,8 @@ import pytest
 
 from sew.cli import main
 from sew.data import load_features, load_labels, write_csv
-from sew.networks import GruRegressorSpec, MlpSpec
-from sew.training import SewConfig
+from sew.networks import GruRegressorSpec, MlpSpec, assemble_sew, save_model
+from sew.training import SewConfig, load_config
 
 
 def run(*argv):
@@ -45,6 +45,13 @@ def small_config(tmp_path, **kw):
     base.update(kw)
     path = tmp_path / "config.json"
     SewConfig(**base).save(path)
+    return path
+
+
+def untrained_model(tmp_path):
+    config = load_config(small_config(tmp_path))
+    path = tmp_path / "model.npz"
+    save_model(assemble_sew(config, config.d1, config.d2, config.seed), path)
     return path
 
 
@@ -158,6 +165,20 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dataset.json" in err
 
+    @pytest.mark.parametrize("shift", [0.0, 0.4])
+    def test_frame_count_mismatch_rejected(self, tmp_path, capsys, shift):
+        """A weak file longer than its labels is an error, shift or no shift."""
+        data = small_dataset(tmp_path)
+        meta = json.loads((data / "dataset.json").read_text())
+        meta["shift_pending"] = True
+        (data / "dataset.json").write_text(json.dumps(meta))
+        weak = load_features(data / "train_weak.csv")
+        write_csv(data / "train_weak.csv", np.hstack([weak, weak[:, :10]]))
+        cfg = small_config(tmp_path, shift_seconds=shift)
+        assert run("train", "--data", data, "--out", tmp_path / "r", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "130" in err and "120" in err
+
 
 class TestAblateCommand:
     def test_writes_full_table(self, tmp_path, capsys):
@@ -251,6 +272,17 @@ class TestEvalCommand:
                    "--features", data / "dev_weak.csv", "--labels", data / "dev_labels.csv",
                    "--shift-seconds", 0.4, "--frame-step-seconds", 0.04) == 0
         assert "n=30" in capsys.readouterr().out  # 40 frames minus a 10-frame shift
+
+    @pytest.mark.parametrize("shift", [0.0, 2.4])
+    def test_frame_count_mismatch_rejected(self, tmp_path, capsys, shift):
+        """200 feature frames against 150 labels never pair up, shift or no shift."""
+        feats, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+        write_csv(feats, np.zeros((5, 200)))
+        write_csv(labels, np.zeros((1, 150)))
+        assert run("eval", "--model", untrained_model(tmp_path), "--features", feats, "--labels", labels,
+                   "--shift-seconds", shift, "--frame-step-seconds", 0.04) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "200" in err and "150" in err
 
 
 class TestExportCommand:

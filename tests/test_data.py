@@ -273,19 +273,19 @@ class TestBatcher:
 
     def test_covers_dataset_in_two_batches(self):
         ds = self.make_dataset(64)
-        batches = list(batcher(ds, 32, rng=0))
+        batches = list(batcher(ds, 32, rng=make_rng(0)))
         assert [b.width for b in batches] == [32, 32]
 
     def test_no_shuffle_preserves_order(self):
         ds = self.make_dataset(10)
-        batches = list(batcher(ds, 5, rng=0, shuffle=False))
+        batches = list(batcher(ds, 5, rng=make_rng(0), shuffle=False))
         np.testing.assert_array_equal(batches[0].m_s, ds.m_s[:, :5])
         np.testing.assert_array_equal(batches[1].labels, ds.labels[:, 5:])
 
     def test_same_seed_same_batches(self):
         ds = self.make_dataset(30)
-        a = list(batcher(ds, 8, rng=7))
-        b = list(batcher(ds, 8, rng=7))
+        a = list(batcher(ds, 8, rng=make_rng(7)))
+        b = list(batcher(ds, 8, rng=make_rng(7)))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.m_w, y.m_w)
 
@@ -298,26 +298,26 @@ class TestBatcher:
 
     def test_shuffled_epoch_is_a_permutation(self):
         ds = self.make_dataset(40)
-        cols = np.concatenate([b.m_s for b in batcher(ds, 8, rng=3)], axis=1)
+        cols = np.concatenate([b.m_s for b in batcher(ds, 8, rng=make_rng(3))], axis=1)
         assert cols.shape == (3, 40)
         np.testing.assert_allclose(np.sort(cols[0]), np.sort(ds.m_s[0]), atol=0)
 
     def test_trailing_singleton_dropped(self):
         ds = self.make_dataset(65)
-        batches = list(batcher(ds, 32, rng=0))
+        batches = list(batcher(ds, 32, rng=make_rng(0)))
         assert [b.width for b in batches] == [32, 32]
 
     def test_trailing_pair_kept(self):
         ds = self.make_dataset(34)
-        batches = list(batcher(ds, 32, rng=0))
+        batches = list(batcher(ds, 32, rng=make_rng(0)))
         assert [b.width for b in batches] == [32, 2]
 
     def test_batch_size_validation(self):
         ds = self.make_dataset(10)
         with pytest.raises(ConfigError):
-            list(batcher(ds, 1, rng=0))
+            list(batcher(ds, 1, rng=make_rng(0)))
 
     def test_empty_dataset(self):
         ds = Dataset(np.zeros((3, 0)), np.zeros((2, 0)), np.zeros((1, 0)))
         with pytest.raises(DataError):
-            list(batcher(ds, 4, rng=0))
+            list(batcher(ds, 4, rng=make_rng(0)))

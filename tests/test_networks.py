@@ -1,17 +1,18 @@
 import json
 import zipfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from _oracles import fd_gradients, rel_errors
-from sew.autodiff import Node, backward, make_rng, sum_all
+from sew.autodiff import Node, backward, make_rng, sum_all, uniform_init
 from sew.data import Standardizer
 from sew.errors import ConfigError, DimensionError, ExportError
 from sew.networks import (
     ABLATIONS,
-    GruCell,
+    GatedLayer,
     GruRegressor,
     GruRegressorSpec,
     Mlp,
@@ -19,10 +20,12 @@ from sew.networks import (
     SewModel,
     assemble_sew,
     blocks_for_ablation,
-    build_mlp,
     load_model,
     save_model,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def tiny_config(ablation="full", latent=2):
@@ -55,24 +58,24 @@ class TestMlp:
             MlpSpec((8, 0))
 
     def test_single_layer_shape(self):
-        mlp = build_mlp(MlpSpec((168,)), input_dim=168, seed=0)
+        mlp = Mlp(MlpSpec((168,)), 168, make_rng(0))
         out = mlp.forward(Node(np.zeros((168, 4))))
         assert out.value.shape == (168, 4)
 
     def test_two_layer_shape(self):
-        mlp = build_mlp(MlpSpec((108, 128)), input_dim=88, seed=0)
+        mlp = Mlp(MlpSpec((108, 128)), 88, make_rng(0))
         out = mlp.forward(Node(make_rng(0, 80).standard_normal((88, 4))))
         assert out.value.shape == (128, 4)
 
     def test_zero_params_give_zero_output(self):
-        mlp = build_mlp(MlpSpec((5, 3)), input_dim=4, seed=0)
+        mlp = Mlp(MlpSpec((5, 3)), 4, make_rng(0))
         zero_params(mlp)
         out = mlp.forward(Node(make_rng(1, 80).standard_normal((4, 6))))
         np.testing.assert_array_equal(out.value, np.zeros((3, 6)))
 
     def test_matches_numpy_reference(self):
         """tanh between layers, affine final layer."""
-        mlp = build_mlp(MlpSpec((5, 4, 3)), input_dim=6, seed=3)
+        mlp = Mlp(MlpSpec((5, 4, 3)), 6, make_rng(3))
         x = make_rng(2, 80).standard_normal((6, 7))
         h = x
         for layer in mlp.layers[:-1]:
@@ -82,19 +85,19 @@ class TestMlp:
 
     def test_final_layer_is_affine(self):
         # f(x) + f(-x) = 2b for a single layer; fails if tanh wraps the output
-        mlp = build_mlp(MlpSpec((3,)), input_dim=3, seed=1)
+        mlp = Mlp(MlpSpec((3,)), 3, make_rng(1))
         x = 10.0 * make_rng(3, 80).standard_normal((3, 5))
         left = mlp.forward(Node(x)).value + mlp.forward(Node(-x)).value
         np.testing.assert_allclose(left, 2.0 * mlp.layers[0].bias.value @ np.ones((1, 5)), atol=1e-10)
         assert np.abs(mlp.forward(Node(x)).value).max() > 1.0  # unbounded output
 
     def test_input_dim_checked(self):
-        mlp = build_mlp(MlpSpec((3,)), input_dim=4, seed=0)
+        mlp = Mlp(MlpSpec((3,)), 4, make_rng(0))
         with pytest.raises(DimensionError):
             mlp.forward(Node(np.zeros((5, 2))))
 
     def test_gradients_vs_finite_differences(self):
-        mlp = build_mlp(MlpSpec((4, 2)), input_dim=3, seed=5)
+        mlp = Mlp(MlpSpec((4, 2)), 3, make_rng(5))
         x = make_rng(4, 80).standard_normal((3, 6))
         params = [p for _, p in mlp.named_parameters("m")]
 
@@ -107,48 +110,50 @@ class TestMlp:
 
 
 class TestGruCell:
+    """GatedLayer: one GRU step from a zero hidden state."""
+
     def test_zero_everything_is_zero(self):
-        cell = GruCell(2, 3, make_rng(0, 81))
+        cell = GatedLayer(2, 3, make_rng(0, 81))
         zero_params(cell)
-        out = cell.forward(Node(np.zeros((2, 4))), Node(np.zeros((3, 4))))
+        out = cell.forward(Node(np.zeros((2, 4))))
         np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
 
-    def test_zero_params_halve_hidden_state(self):
-        # z = 0.5 and cand = 0, so h_new = 0.5 * h
-        cell = GruCell(2, 3, make_rng(0, 81))
-        zero_params(cell)
-        h = make_rng(1, 81).standard_normal((3, 4))
-        out = cell.forward(Node(np.zeros((2, 4))), Node(h))
-        np.testing.assert_allclose(out.value, 0.5 * h, atol=1e-15)
-
     def test_hand_computed_single_unit(self):
-        cell = GruCell(1, 1, make_rng(0, 81))
+        cell = GatedLayer(1, 1, make_rng(0, 81))
         zero_params(cell)
         cell.w_z.value[:] = 2.0
         cell.w_h.value[:] = 1.0
-        out = cell.forward(Node([[1.0]]), Node([[0.0]]))
-        # z = sigmoid(2), cand = tanh(1), h = 0: h_new = z * cand
+        out = cell.forward(Node([[1.0]]))
+        # z = sigmoid(2), cand = tanh(1): h = z * cand
         expected = np_sigmoid(2.0) * np.tanh(1.0)
         assert out.value[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_matches_numpy_reference(self):
         rng = make_rng(5, 81)
-        cell = GruCell(4, 3, rng)
+        cell = GatedLayer(4, 3, rng)
+        cell.b_z.value[:] = rng.standard_normal((3, 1))
+        cell.b_h.value[:] = rng.standard_normal((3, 1))
         x = rng.standard_normal((4, 6))
-        h = rng.standard_normal((3, 6))
-        z = np_sigmoid(cell.w_z.value @ x + cell.u_z.value @ h + cell.b_z.value)
-        r = np_sigmoid(cell.w_r.value @ x + cell.u_r.value @ h + cell.b_r.value)
-        cand = np.tanh(cell.w_h.value @ x + cell.u_h.value @ (r * h) + cell.b_h.value)
-        expected = (1.0 - z) * h + z * cand
-        out = cell.forward(Node(x), Node(h))
-        np.testing.assert_allclose(out.value, expected, atol=1e-12)
+        expected = (np_sigmoid(cell.w_z.value @ x + cell.b_z.value)
+                    * np.tanh(cell.w_h.value @ x + cell.b_h.value))
+        np.testing.assert_allclose(cell.forward(Node(x)).value, expected, atol=1e-12)
+
+    def test_live_weights_keep_the_gru_draw_order(self):
+        """W_z and W_h are the 1st and 5th draws of a full GRU cell's
+        (W_z, U_z, W_r, U_r, W_h, U_h), and the stream ends where it did."""
+        rng = make_rng(6, 81)
+        cell = GatedLayer(4, 3, rng)
+        ref = make_rng(6, 81)
+        draws = [uniform_init(3, d, d, ref) for d in (4, 3, 4, 3, 4, 3)]
+        np.testing.assert_array_equal(cell.w_z.value, draws[0])
+        np.testing.assert_array_equal(cell.w_h.value, draws[4])
+        np.testing.assert_array_equal(rng.uniform(size=5), ref.uniform(size=5))
+        assert [n for n, _ in cell.named_parameters("c")] == ["c.w_z", "c.b_z", "c.w_h", "c.b_h"]
 
     def test_shape_checks(self):
-        cell = GruCell(2, 3, make_rng(0, 81))
+        cell = GatedLayer(2, 3, make_rng(0, 81))
         with pytest.raises(DimensionError):
-            cell.forward(Node(np.zeros((3, 4))), Node(np.zeros((3, 4))))
-        with pytest.raises(DimensionError):
-            cell.forward(Node(np.zeros((2, 4))), Node(np.zeros((3, 5))))
+            cell.forward(Node(np.zeros((3, 4))))
 
 
 class TestGruRegressor:
@@ -308,6 +313,37 @@ class TestSerialization:
         assert loaded.s_encoder is None and loaded.s_decoder1 is None and loaded.s_decoder2 is None
         x = make_rng(14, 83).standard_normal((3, 8))
         np.testing.assert_array_equal(model.predict(x), loaded.predict(x))
+
+    def test_file_holds_only_live_regressor_weights(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        with zipfile.ZipFile(path) as zf:
+            names = zf.namelist()
+            meta = json.loads(zf.read("meta.json"))
+        assert meta["format_version"] == 2
+        cells = sorted(n for n in names if n.startswith("regressor.cells."))
+        assert cells == ["regressor.cells.0.b_h.npy", "regressor.cells.0.b_z.npy",
+                         "regressor.cells.0.w_h.npy", "regressor.cells.0.w_z.npy"]
+
+    def test_reads_format_1_file(self):
+        """model_v1.npz was written at format 1, whose regressor layers also
+        stored U_z, U_r, U_h, W_r and b_r (set non-zero in this file), by
+        the code of that format; model_v1_io.npz holds an input and the
+        predictions that code made from it."""
+        with zipfile.ZipFile(FIXTURES / "model_v1.npz") as zf:
+            assert json.loads(zf.read("meta.json"))["format_version"] == 1
+            assert "regressor.cells.1.u_h.npy" in zf.namelist()
+        io = np.load(FIXTURES / "model_v1_io.npz")
+        model = load_model(FIXTURES / "model_v1.npz")
+        assert model.predict(io["x"]).tobytes() == io["pred"].tobytes()
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        self.rewrite_meta(path, lambda meta: meta.update(format_version=3))
+        with pytest.raises(ExportError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value) and "format 3" in str(exc.value)
 
     def test_deployment_needs_weak_path(self, tmp_path):
         model = self.build()
