@@ -4,7 +4,7 @@ latent correlation alignment), deploy it uni-modally."""
 
 from .autodiff import Node, Sgd, backward, make_rng
 from .data import Dataset, ModalityBatch, Standardizer, SyntheticSpec, generate_synthetic
-from .dcca import cca_correlation, classical_cca_oracle, covariances, matrix_inv_sqrt
+from .dcca import cca_correlation
 from .errors import (
     ConditioningError,
     ConfigError,

@@ -27,6 +27,7 @@ from .data import (
     SyntheticSpec,
     apply_shift,
     generate_synthetic,
+    load_csv,
     load_features,
     load_labels,
     write_csv,
@@ -36,6 +37,7 @@ from .metrics import evaluate
 from .networks import load_model, save_model
 from .presets import desk_config
 from .training import (
+    _read_json_object,
     config_from_dict,
     export_deployment,
     format_ablation_table,
@@ -62,18 +64,13 @@ def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_sec
     strong = load_features(strong_f)
     weak = load_features(weak_f)
     labels = load_labels(labels_f)
+    for path, frames in ((strong_f, strong), (weak_f, weak)):
+        if frames.shape[1] != labels.shape[1]:
+            raise DataError(f"{data_dir} ({split} split): {path.name} has {frames.shape[1]} frames "
+                            f"but {labels_f.name} has {labels.shape[1]}")
     meta_path = data_dir / "dataset.json"
-    shift_pending = False
-    if meta_path.exists():
-        with open(meta_path) as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as err:
-                raise DataError(f"{meta_path}: not valid JSON ({err})") from None
-        if not isinstance(meta, dict):
-            raise DataError(f"{meta_path}: must be a JSON object")
-        shift_pending = bool(meta.get("shift_pending", False))
-    if shift_pending and shift_seconds > 0:
+    meta = _read_json_object(meta_path, DataError) if meta_path.exists() else {}
+    if meta.get("shift_pending") and shift_seconds > 0:
         strong, _ = apply_shift(strong, labels, shift_seconds, frame_step_seconds)
         weak, labels = apply_shift(weak, labels, shift_seconds, frame_step_seconds)
         log.info("%s/%s: applied %g s label shift, %d pairs", data_dir, split, shift_seconds, labels.shape[1])
@@ -115,13 +112,7 @@ def _write_manifest(out_dir: Path, config, config_path, fingerprint: str) -> str
 
 
 def cmd_gen_data(args) -> int:
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{args.config}: not valid JSON ({err})") from None
+    raw = _read_json_object(args.config) if args.config else {}
     flag_values = {
         "latent_dim": args.latent_dim, "d1": args.d1, "d2": args.d2,
         "noise_strong": args.noise_strong, "noise_weak": args.noise_weak,
@@ -129,10 +120,14 @@ def cmd_gen_data(args) -> int:
         "n_samples": args.n_train, "n_dev": args.n_dev, "seed": args.seed,
     }
     raw.update({k: v for k, v in flag_values.items() if v is not None})
-    known = {f.name for f in dataclasses.fields(SyntheticSpec)}
-    unknown = sorted(set(raw) - known)
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(SyntheticSpec)}
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown dataset key(s): {', '.join(unknown)}")
+    # flag values are typed by argparse, so a mistyped value comes from the file
+    for key, value in raw.items():
+        if type(value) is not kinds[key] and not (kinds[key] is float and type(value) is int):
+            raise ConfigError(f"{args.config}: dataset key {key!r} must be {kinds[key].__name__}, got {value!r}")
     spec = SyntheticSpec(**raw)
 
     train_set, dev_set, truth = generate_synthetic(spec)
@@ -229,7 +224,7 @@ def cmd_eval(args) -> int:
         else:
             if not (args.features and args.labels):
                 raise ConfigError("--features and --labels go together")
-            feats, truth = apply_shift(load_features(args.features), load_labels(args.labels),
+            feats, truth = apply_shift(*load_csv(args.features, args.labels),
                                        args.shift_seconds, args.frame_step_seconds)
         preds = model.predict(feats)
         if args.pred_out:

@@ -1,6 +1,5 @@
-"""Canonical correlation: covariance estimation, the differentiable
-correlation objective used for latent alignment, and an independent
-classical oracle for cross-checking it.
+"""Canonical correlation: the differentiable correlation objective used for
+latent alignment (the deep CCA objective of Andrew et al., ICML 2013).
 
 Both views are d x p (features in rows, samples in columns). The objective
 is the sum of the top-k singular values of
@@ -14,7 +13,6 @@ covariances. Negating the returned node gives the alignment loss.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,57 +24,6 @@ log = logging.getLogger("sew.dcca")
 # below this gap between singular values k and k+1 the top-k gradient is
 # ill-defined; training crosses such points transiently, so only warn
 TIE_GAP = 1e-9
-
-
-@dataclass
-class CcaStats:
-    """Covariance pieces of one correlation evaluation.
-
-    sigma_s / sigma_w are the ridge-regularized self covariances, sigma_sw
-    the cross covariance. t_matrix and singular_values are filled only when
-    the SVD step has run (see cca_stats); covariances() leaves them None.
-    """
-
-    sigma_s: Matrix
-    sigma_w: Matrix
-    sigma_sw: Matrix
-    r1: float
-    r2: float
-    t_matrix: Matrix | None = None
-    singular_values: np.ndarray | None = None
-    k: int | None = None
-
-
-def _centered_views(m_ss, m_sw, r1: float, r2: float):
-    m_ss = as_matrix(m_ss, "m_ss")
-    m_sw = as_matrix(m_sw, "m_sw")
-    if m_ss.shape != m_sw.shape:
-        raise DimensionError(f"views must share shape d x p, got {m_ss.shape} vs {m_sw.shape}")
-    d, p = m_ss.shape
-    if p < 2:
-        raise DataError(f"insufficient samples for covariance: need p >= 2, got p={p}")
-    if r1 < 0 or r2 < 0:
-        raise ConfigError(f"regularizers must be >= 0, got r1={r1}, r2={r2}")
-    hs = m_ss - m_ss.mean(axis=1, keepdims=True)
-    hw = m_sw - m_sw.mean(axis=1, keepdims=True)
-    return hs, hw, d, p
-
-
-def covariances(m_ss, m_sw, r1: float, r2: float) -> CcaStats:
-    """Self and cross covariances of the row-centered views.
-
-    sigma_sw = hs @ hw.T / (p-1); sigma_s = hs @ hs.T / (p-1) + r1*I and
-    analogously for sigma_w with r2.
-    """
-    hs, hw, d, p = _centered_views(m_ss, m_sw, r1, r2)
-    eye = np.eye(d)
-    return CcaStats(
-        sigma_s=hs @ hs.T / (p - 1) + r1 * eye,
-        sigma_w=hw @ hw.T / (p - 1) + r2 * eye,
-        sigma_sw=hs @ hw.T / (p - 1),
-        r1=float(r1),
-        r2=float(r2),
-    )
 
 
 def matrix_inv_sqrt(a) -> Matrix:
@@ -98,9 +45,25 @@ def matrix_inv_sqrt(a) -> Matrix:
 
 
 def _cca_forward(m_ss, m_sw, k: int, r1: float, r2: float):
-    hs, hw, d, p = _centered_views(m_ss, m_sw, r1, r2)
+    """Centre the views, build sigma_s, sigma_w, sigma_sw and decompose T.
+
+    sigma_sw = hs @ hw.T / (p-1); sigma_s = hs @ hs.T / (p-1) + r1*I and
+    analogously for sigma_w with r2. Returns the centered views, the two
+    inverse square roots and the SVD of T: what the backward needs.
+    """
+    m_ss = as_matrix(m_ss, "m_ss")
+    m_sw = as_matrix(m_sw, "m_sw")
+    if m_ss.shape != m_sw.shape:
+        raise DimensionError(f"views must share shape d x p, got {m_ss.shape} vs {m_sw.shape}")
+    d, p = m_ss.shape
+    if p < 2:
+        raise DataError(f"insufficient samples for covariance: need p >= 2, got p={p}")
+    if r1 < 0 or r2 < 0:
+        raise ConfigError(f"regularizers must be >= 0, got r1={r1}, r2={r2}")
     if not 1 <= k <= d:
         raise ConfigError(f"k must be in [1, {d}], got {k}")
+    hs = m_ss - m_ss.mean(axis=1, keepdims=True)
+    hw = m_sw - m_sw.mean(axis=1, keepdims=True)
     sigma_s = hs @ hs.T / (p - 1) + r1 * np.eye(d)
     sigma_w = hw @ hw.T / (p - 1) + r2 * np.eye(d)
     sigma_sw = hs @ hw.T / (p - 1)
@@ -111,15 +74,8 @@ def _cca_forward(m_ss, m_sw, k: int, r1: float, r2: float):
         if r1 == 0.0 or r2 == 0.0:
             raise ConditioningError(f"{err}; set r1, r2 > 0 to regularize the covariances") from err
         raise
-    t = inv_s @ sigma_sw @ inv_w
-    u, svals, vt = np.linalg.svd(t)
-    return hs, hw, p, sigma_s, sigma_w, sigma_sw, inv_s, inv_w, t, u, svals, vt
-
-
-def cca_stats(m_ss, m_sw, k: int, r1: float, r2: float) -> CcaStats:
-    """Full correlation statistics including T and its singular values."""
-    _, _, _, sigma_s, sigma_w, sigma_sw, _, _, t, _, svals, _ = _cca_forward(m_ss, m_sw, k, r1, r2)
-    return CcaStats(sigma_s, sigma_w, sigma_sw, float(r1), float(r2), t, svals, int(k))
+    u, svals, vt = np.linalg.svd(inv_s @ sigma_sw @ inv_w)
+    return hs, hw, inv_s, inv_w, u, svals, vt
 
 
 def cca_correlation(m_ss: Node, m_sw: Node, k: int, r1: float, r2: float) -> Node:
@@ -136,8 +92,8 @@ def cca_correlation(m_ss: Node, m_sw: Node, k: int, r1: float, r2: float) -> Nod
     Vk, inv_w). Rows of both expressions are combinations of zero-mean rows,
     so they equal the gradients w.r.t. the uncentered inputs as well.
     """
-    hs, hw, p, _, _, _, inv_s, inv_w, _, u, svals, vt = _cca_forward(m_ss.value, m_sw.value, k, r1, r2)
-    d = hs.shape[0]
+    hs, hw, inv_s, inv_w, u, svals, vt = _cca_forward(m_ss.value, m_sw.value, k, r1, r2)
+    d, p = hs.shape
     rho = float(svals[:k].sum())
     if k < d and svals[k - 1] - svals[k] < TIE_GAP:
         log.warning(
@@ -159,36 +115,3 @@ def cca_correlation(m_ss: Node, m_sw: Node, k: int, r1: float, r2: float) -> Nod
 
     out._backward = backward
     return out
-
-
-def classical_cca_oracle(x, y, k: int, r1: float = 0.0, r2: float = 0.0) -> np.ndarray:
-    """Top-k canonical correlations via the generalized eigenproblem.
-
-    Independent route from the inverse-sqrt/SVD path: the eigenvalues of
-    sigma_x^{-1} sigma_xy sigma_y^{-1} sigma_yx are the squared canonical
-    correlations. Views may have different feature counts here.
-    """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise DimensionError(f"views must share sample count, got {x.shape} vs {y.shape}")
-    p = x.shape[1]
-    if p < 2:
-        raise DataError(f"insufficient samples: need p >= 2, got p={p}")
-    if not 1 <= k <= min(x.shape[0], y.shape[0]):
-        raise ConfigError(f"k must be in [1, {min(x.shape[0], y.shape[0])}], got {k}")
-    hx = x - x.mean(axis=1, keepdims=True)
-    hy = y - y.mean(axis=1, keepdims=True)
-    sxx = hx @ hx.T / (p - 1) + r1 * np.eye(x.shape[0])
-    syy = hy @ hy.T / (p - 1) + r2 * np.eye(y.shape[0])
-    sxy = hx @ hy.T / (p - 1)
-    try:
-        m = np.linalg.solve(sxx, sxy) @ np.linalg.solve(syy, sxy.T)
-    except np.linalg.LinAlgError as err:
-        raise ConditioningError(f"singular covariance in classical CCA: {err}") from err
-    eigvals = np.linalg.eigvals(m)
-    eigvals = np.where(np.abs(eigvals.imag) < 1e-8, eigvals.real, np.nan)
-    if np.any(np.isnan(eigvals)):
-        raise ConditioningError("complex eigenvalues in classical CCA; covariance too ill-conditioned")
-    corr = np.sqrt(np.clip(np.sort(eigvals)[::-1], 0.0, None))
-    return corr[:k]

@@ -30,7 +30,26 @@ from .errors import ConfigError, DimensionError, ExportError
 FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
 
-ABLATIONS = ("full", "no_sd2", "no_cca", "no_sd1", "no_cca_sd1", "unimodal")
+# variant -> (report label, loss terms it trains with); l4 (prediction) is
+# in every variant
+_VARIANTS = {
+    "full": ("full", ("l1", "l2", "l3", "l4")),
+    "no_sd2": ("-S_D2", ("l1", "l3", "l4")),
+    "no_cca": ("-CCA", ("l1", "l2", "l4")),
+    "no_sd1": ("-S_D1", ("l2", "l3", "l4")),
+    "no_cca_sd1": ("-(CCA&S_D1)", ("l2", "l4")),
+    "unimodal": ("unimodal", ("l4",)),
+}
+ABLATIONS = tuple(_VARIANTS)
+
+# blocks each loss term adds to a variant (l1 and l3 also run W_E, which
+# comes with l4)
+_TERM_BLOCKS = {
+    "l1": ("s_decoder1",),
+    "l2": ("s_encoder", "s_decoder2"),
+    "l3": ("s_encoder",),
+    "l4": ("w_encoder", "regressor"),
+}
 
 # fixed init streams so e.g. the weak encoder starts identically across
 # ablation variants built from the same seed
@@ -44,18 +63,10 @@ _BLOCK_STREAMS = {
 
 
 def blocks_for_ablation(ablation: str) -> frozenset[str]:
-    """Which blocks a variant builds. Loss-term selection lives in training."""
-    table = {
-        "full": {"w_encoder", "s_decoder1", "s_encoder", "s_decoder2", "regressor"},
-        "no_sd2": {"w_encoder", "s_decoder1", "s_encoder", "regressor"},
-        "no_cca": {"w_encoder", "s_decoder1", "s_encoder", "s_decoder2", "regressor"},
-        "no_sd1": {"w_encoder", "s_encoder", "s_decoder2", "regressor"},
-        "no_cca_sd1": {"w_encoder", "s_encoder", "s_decoder2", "regressor"},
-        "unimodal": {"w_encoder", "regressor"},
-    }
-    if ablation not in table:
+    """Which blocks a variant builds: those its loss terms need."""
+    if ablation not in _VARIANTS:
         raise ConfigError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
-    return frozenset(table[ablation])
+    return frozenset(b for term in _VARIANTS[ablation][1] for b in _TERM_BLOCKS[term])
 
 
 @dataclass(frozen=True)
@@ -270,9 +281,11 @@ class SewModel:
 def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
     """Build the variant's blocks with one init stream per block.
 
-    config supplies latent_dim, ablation, and the block specs (w_encoder,
-    s_decoder1, s_encoder, s_decoder2: MlpSpec; regressor: GruRegressorSpec).
-    Per-block streams keep shared blocks bit-identical across variants.
+    config is a validated SewConfig (its widths are checked there, not
+    here): it supplies latent_dim, ablation, and the block specs
+    (w_encoder, s_decoder1, s_encoder, s_decoder2: MlpSpec; regressor:
+    GruRegressorSpec). Per-block streams keep shared blocks bit-identical
+    across variants.
     """
     wanted = blocks_for_ablation(config.ablation)
     latent = int(config.latent_dim)
@@ -280,29 +293,11 @@ def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
     def rng_for(block):
         return make_rng(seed, _BLOCK_STREAMS[block])
 
-    if config.w_encoder.output_dim != latent:
-        raise ConfigError(
-            f"weak encoder ends at width {config.w_encoder.output_dim} but latent_dim is {latent}")
     w_encoder = Mlp(config.w_encoder, d2, rng_for("w_encoder"))
     regressor = GruRegressor(config.regressor, latent, rng_for("regressor"))
-
-    s_encoder = s_decoder1 = s_decoder2 = None
-    if "s_encoder" in wanted:
-        if config.s_encoder.output_dim != latent:
-            raise ConfigError(
-                f"strong encoder ends at width {config.s_encoder.output_dim} but latent_dim is {latent}")
-        s_encoder = Mlp(config.s_encoder, d1, rng_for("s_encoder"))
-    if "s_decoder1" in wanted:
-        if config.s_decoder1.output_dim != d1:
-            raise ConfigError(
-                f"translation decoder ends at width {config.s_decoder1.output_dim} but d1 is {d1}")
-        s_decoder1 = Mlp(config.s_decoder1, latent, rng_for("s_decoder1"))
-    if "s_decoder2" in wanted:
-        if config.s_decoder2.output_dim != d1:
-            raise ConfigError(
-                f"autoencoder decoder ends at width {config.s_decoder2.output_dim} but d1 is {d1}")
-        s_decoder2 = Mlp(config.s_decoder2, latent, rng_for("s_decoder2"))
-
+    s_encoder = Mlp(config.s_encoder, d1, rng_for("s_encoder")) if "s_encoder" in wanted else None
+    s_decoder1 = Mlp(config.s_decoder1, latent, rng_for("s_decoder1")) if "s_decoder1" in wanted else None
+    s_decoder2 = Mlp(config.s_decoder2, latent, rng_for("s_decoder2")) if "s_decoder2" in wanted else None
     return SewModel(latent, d1, d2, config.ablation, w_encoder, regressor,
                     s_decoder1=s_decoder1, s_encoder=s_encoder, s_decoder2=s_decoder2)
 

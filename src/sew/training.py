@@ -17,6 +17,8 @@ from .data import Dataset, ModalityBatch, batcher, standardize_dataset
 from .dcca import cca_correlation
 from .errors import ConditioningError, ConfigError, ExportError, NumericError
 from .networks import (
+    _TERM_BLOCKS,
+    _VARIANTS,
     ABLATIONS,
     GruRegressorSpec,
     MlpSpec,
@@ -31,25 +33,9 @@ log = logging.getLogger("sew.training")
 _STREAM_BATCHES = 21
 _STREAM_CCA_POOL = 22
 
-# loss terms each variant trains with; l4 (prediction) is always present
-_VARIANT_TERMS = {
-    "full": ("l1", "l2", "l3", "l4"),
-    "no_sd2": ("l1", "l3", "l4"),
-    "no_cca": ("l1", "l2", "l4"),
-    "no_sd1": ("l2", "l3", "l4"),
-    "no_cca_sd1": ("l2", "l4"),
-    "unimodal": ("l4",),
-}
-
 # CLI/report labels, one per variant, in canonical table order
-ABLATION_LABELS = {
-    "full": "full",
-    "no_sd2": "-S_D2",
-    "no_cca": "-CCA",
-    "no_sd1": "-S_D1",
-    "no_cca_sd1": "-(CCA&S_D1)",
-    "unimodal": "unimodal",
-}
+ABLATION_LABELS = {variant: label for variant, (label, _) in _VARIANTS.items()}
+
 
 @dataclass(frozen=True)
 class SewConfig:
@@ -108,24 +94,14 @@ class SewConfig:
         if self.shift_seconds < 0:
             raise ConfigError(f"shift_seconds must be >= 0, got {self.shift_seconds}")
         wanted = blocks_for_ablation(self.ablation)
-        specs = {
-            "s_decoder1": self.s_decoder1,
-            "s_encoder": self.s_encoder,
-            "s_decoder2": self.s_decoder2,
-        }
-        for name, spec in specs.items():
-            if name in wanted and spec is None:
+        # the width each built MLP must end at
+        ends = {"w_encoder": "latent_dim", "s_encoder": "latent_dim", "s_decoder1": "d1", "s_decoder2": "d1"}
+        for name in sorted(wanted & ends.keys()):
+            spec, target = getattr(self, name), ends[name]
+            if spec is None:
                 raise ConfigError(f"ablation {self.ablation!r} needs a spec for {name}")
-        if self.w_encoder.output_dim != self.latent_dim:
-            raise ConfigError(
-                f"w_encoder ends at {self.w_encoder.output_dim}, latent_dim is {self.latent_dim}")
-        if "s_encoder" in wanted and self.s_encoder.output_dim != self.latent_dim:
-            raise ConfigError(
-                f"s_encoder ends at {self.s_encoder.output_dim}, latent_dim is {self.latent_dim}")
-        for name in ("s_decoder1", "s_decoder2"):
-            spec = specs[name]
-            if name in wanted and spec.output_dim != self.d1:
-                raise ConfigError(f"{name} ends at {spec.output_dim}, d1 is {self.d1}")
+            if spec.output_dim != getattr(self, target):
+                raise ConfigError(f"{name} ends at {spec.output_dim}, {target} is {getattr(self, target)}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -172,15 +148,21 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> SewConfig:
         raise ConfigError(f"config is incomplete: {err}") from None
 
 
-def load_config(path, overrides: dict | None = None) -> SewConfig:
+def _read_json_object(path, error=ConfigError) -> dict:
+    """The JSON object stored at `path`; anything else raises `error`
+    naming the file."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: not valid JSON ({err})") from None
+        except ValueError as err:
+            raise error(f"{path}: not valid JSON ({err})") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return config_from_dict(raw, overrides)
+        raise error(f"{path}: must be a JSON object")
+    return raw
+
+
+def load_config(path, overrides: dict | None = None) -> SewConfig:
+    return config_from_dict(_read_json_object(path), overrides)
 
 
 def active_terms(config: SewConfig) -> frozenset[str]:
@@ -190,7 +172,7 @@ def active_terms(config: SewConfig) -> frozenset[str]:
     trajectory of the surviving blocks bit-identical to the variant that
     never had the term.
     """
-    terms = set(_VARIANT_TERMS[config.ablation])
+    terms = set(_VARIANTS[config.ablation][1])
     if config.alpha == 0:
         terms.discard("l1")
     if config.beta == 0:
@@ -224,12 +206,11 @@ def sew_loss(model: SewModel, batch, config: SewConfig, cca_batch=None):
     larger dedicated pool), otherwise on the training batch itself.
     """
     terms = active_terms(config)
-    needed = {"l1": "s_decoder1", "l2": "s_decoder2", "l3": "s_encoder"}
-    for term, block in needed.items():
-        if term in terms and getattr(model, block) is None:
-            raise ConfigError(f"loss term {term} is active but the model has no {block}")
-    if ("l2" in terms or "l3" in terms) and model.s_encoder is None:
-        raise ConfigError("autoencoding/alignment terms need the strong encoder")
+    # the caller's model may not be the one this config assembles
+    for term in sorted(terms):
+        for block in _TERM_BLOCKS[term]:
+            if getattr(model, block) is None:
+                raise ConfigError(f"loss term {term} is active but the model has no {block}")
 
     m_w = Node(batch.m_w)
     m_sw = model.w_encoder.forward(m_w)

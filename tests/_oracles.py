@@ -9,6 +9,8 @@ import weakref
 
 import numpy as np
 
+from sew.errors import ConditioningError, ConfigError, DataError, DimensionError
+
 
 def fd_gradients(build_loss, params, h=1e-5):
     """Central finite differences of a scalar loss w.r.t. each parameter.
@@ -40,25 +42,38 @@ def rel_errors(analytic, numeric, floor=1e-6):
     return np.abs(analytic - numeric) / denom
 
 
-def naive_cov(a, b, r=0.0):
-    """Double-loop cross-covariance of row variables, 1/(p-1) normalizer."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    p = a.shape[1]
-    am = a - a.mean(axis=1, keepdims=True)
-    bm = b - b.mean(axis=1, keepdims=True)
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            acc = 0.0
-            for t in range(p):
-                acc += am[i, t] * bm[j, t]
-            out[i, j] = acc / (p - 1)
-    if a.shape[0] == b.shape[0]:
-        out += r * np.eye(a.shape[0])
-    elif r != 0.0:
-        raise ValueError("ridge only applies to square covariances")
-    return out
+def classical_cca_oracle(x, y, k: int, r1: float = 0.0, r2: float = 0.0) -> np.ndarray:
+    """Top-k canonical correlations via the generalized eigenproblem.
+
+    Independent route from the library's inverse-sqrt/SVD path: the
+    eigenvalues of sigma_x^{-1} sigma_xy sigma_y^{-1} sigma_yx are the
+    squared canonical correlations. Views may have different feature
+    counts here.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape[1] != y.shape[1]:
+        raise DimensionError(f"views must share sample count, got {x.shape} vs {y.shape}")
+    p = x.shape[1]
+    if p < 2:
+        raise DataError(f"insufficient samples: need p >= 2, got p={p}")
+    if not 1 <= k <= min(x.shape[0], y.shape[0]):
+        raise ConfigError(f"k must be in [1, {min(x.shape[0], y.shape[0])}], got {k}")
+    hx = x - x.mean(axis=1, keepdims=True)
+    hy = y - y.mean(axis=1, keepdims=True)
+    sxx = hx @ hx.T / (p - 1) + r1 * np.eye(x.shape[0])
+    syy = hy @ hy.T / (p - 1) + r2 * np.eye(y.shape[0])
+    sxy = hx @ hy.T / (p - 1)
+    try:
+        m = np.linalg.solve(sxx, sxy) @ np.linalg.solve(syy, sxy.T)
+    except np.linalg.LinAlgError as err:
+        raise ConditioningError(f"singular covariance in classical CCA: {err}") from err
+    eigvals = np.linalg.eigvals(m)
+    eigvals = np.where(np.abs(eigvals.imag) < 1e-8, eigvals.real, np.nan)
+    if np.any(np.isnan(eigvals)):
+        raise ConditioningError("complex eigenvalues in classical CCA; covariance too ill-conditioned")
+    corr = np.sqrt(np.clip(np.sort(eigvals)[::-1], 0.0, None))
+    return corr[:k]
 
 
 def intermediate_refs(root, keep=()):

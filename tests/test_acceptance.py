@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import fd_gradients, rel_errors
+from _oracles import classical_cca_oracle, fd_gradients, rel_errors
 from sew import autodiff as ad
 from sew.autodiff import Node, backward, make_rng
 from sew.data import shift_labels
-from sew.dcca import cca_correlation, classical_cca_oracle
+from sew.dcca import cca_correlation
 from sew.errors import ConditioningError
 from sew.metrics import ccc, evaluate
 from sew.networks import GruRegressorSpec, MlpSpec, assemble_sew, load_model, save_model

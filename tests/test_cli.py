@@ -97,6 +97,20 @@ class TestGenData:
         assert run("gen-data", "--out", tmp_path / "d", "--config", cfg) == 1
         assert "n_sample" in capsys.readouterr().err
 
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text('[{"n_samples": 200}]')
+        assert run("gen-data", "--out", tmp_path / "d", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "spec.json" in err
+
+    def test_mistyped_config_field(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text('{"n_samples": "many"}')
+        assert run("gen-data", "--out", tmp_path / "d", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "spec.json" in err and "n_samples" in err
+
 
 class TestTrainCommand:
     def test_produces_run_artifacts(self, tmp_path, capsys):
@@ -178,6 +192,7 @@ class TestTrainCommand:
         assert run("train", "--data", data, "--out", tmp_path / "r", "--config", cfg) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "130" in err and "120" in err
+        assert "train_weak.csv" in err and "train split" in err and str(data) in err
 
 
 class TestAblateCommand:
@@ -283,6 +298,7 @@ class TestEvalCommand:
                    "--shift-seconds", shift, "--frame-step-seconds", 0.04) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "200" in err and "150" in err
+        assert str(feats) in err and str(labels) in err
 
 
 class TestExportCommand:

@@ -2,50 +2,26 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import fd_gradients, naive_cov, rel_errors
+from _oracles import classical_cca_oracle, fd_gradients, rel_errors
 from sew.autodiff import Node, backward, make_rng
-from sew.dcca import (
-    cca_correlation,
-    cca_stats,
-    classical_cca_oracle,
-    covariances,
-    matrix_inv_sqrt,
-)
+from sew.dcca import cca_correlation, matrix_inv_sqrt
 from sew.errors import ConditioningError, ConfigError, DataError, DimensionError
 
 
-def test_covariance_single_row_example():
-    stats = covariances([[1.0, -1.0]], [[1.0, -1.0]], r1=0.0, r2=0.0)
-    np.testing.assert_allclose(stats.sigma_s, [[2.0]], atol=1e-15)
-    np.testing.assert_allclose(stats.sigma_w, [[2.0]], atol=1e-15)
-    np.testing.assert_allclose(stats.sigma_sw, [[2.0]], atol=1e-15)
-
-
-def test_covariance_zero_input_is_ridge():
-    stats = covariances(np.zeros((2, 3)), np.zeros((2, 3)), r1=0.1, r2=0.1)
-    np.testing.assert_array_equal(stats.sigma_s, 0.1 * np.eye(2))
-    np.testing.assert_array_equal(stats.sigma_w, 0.1 * np.eye(2))
-    np.testing.assert_array_equal(stats.sigma_sw, np.zeros((2, 2)))
-
-
-def test_covariance_against_double_loop():
-    rng = make_rng(0, 50)
-    a = rng.standard_normal((3, 50))
-    b = rng.standard_normal((3, 50))
-    stats = covariances(a, b, r1=0.0, r2=0.0)
-    np.testing.assert_allclose(stats.sigma_s, naive_cov(a, a), atol=1e-12)
-    np.testing.assert_allclose(stats.sigma_w, naive_cov(b, b), atol=1e-12)
-    np.testing.assert_allclose(stats.sigma_sw, naive_cov(a, b), atol=1e-12)
+def rho_of(x, y, k, r1=0.0, r2=0.0) -> float:
+    return cca_correlation(Node(x), Node(y), k, r1, r2).value[0, 0]
 
 
 def test_covariance_validation():
     with pytest.raises(DimensionError):
-        covariances(np.zeros((2, 5)), np.zeros((3, 5)), 0.0, 0.0)
+        rho_of(np.zeros((2, 5)), np.zeros((3, 5)), 1)
     with pytest.raises(DataError):
-        covariances(np.zeros((2, 1)), np.zeros((2, 1)), 0.0, 0.0)
+        rho_of(np.zeros((2, 1)), np.zeros((2, 1)), 1)
     with pytest.raises(ConfigError):
-        covariances(np.zeros((2, 5)), np.zeros((2, 5)), -0.1, 0.0)
+        rho_of(np.zeros((2, 5)), np.zeros((2, 5)), 1, -0.1, 0.0)
 
 
 def test_inv_sqrt_identity():
@@ -141,15 +117,16 @@ def test_symmetry_in_views():
 
 
 def test_singular_values_bounded():
+    """The k-th singular value of T, rho(k) - rho(k-1), lies in [0, 1]
+    and does not grow with k."""
     for seed in range(5):
         rng = make_rng(seed, 52)
         x = rng.standard_normal((4, 60))
         y = 0.8 * x + 0.2 * rng.standard_normal((4, 60))
-        stats = cca_stats(x, y, k=4, r1=0.0, r2=0.0)
-        assert stats.singular_values.shape == (4,)
-        assert np.all(stats.singular_values >= 0.0)
-        assert np.all(stats.singular_values <= 1.0 + 1e-8)
-        assert np.all(np.diff(stats.singular_values) <= 1e-12)  # descending
+        svals = np.diff([0.0] + [rho_of(x, y, k) for k in range(1, 5)])
+        assert np.all(svals >= -1e-12)
+        assert np.all(svals <= 1.0 + 1e-8)
+        assert np.all(np.diff(svals) <= 1e-12)  # descending
 
 
 def test_gradient_against_finite_differences():
@@ -218,9 +195,31 @@ def test_tied_singular_values_warn(caplog):
 def test_k_out_of_range():
     x = np.zeros((3, 10))
     with pytest.raises(ConfigError):
-        cca_stats(x, x, k=4, r1=0.1, r2=0.1)
+        rho_of(x, x, 4, 0.1, 0.1)
     with pytest.raises(ConfigError):
-        cca_stats(x, x, k=0, r1=0.1, r2=0.1)
+        rho_of(x, x, 0, 0.1, 0.1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(2, 6), data=st.data())
+def test_forward_matches_oracle_and_is_map_invariant(d, data):
+    """For any k, p >= 4d and ridges r >= 0 the forward equals the classical
+    oracle, and an invertible linear map of either view changes nothing
+    (with r = 0: a ridge is not invariant under a change of basis)."""
+    k = data.draw(st.integers(1, d), label="k")
+    p = data.draw(st.integers(4 * d, 12 * d), label="p")
+    r1, r2 = (data.draw(st.sampled_from((0.0, 1e-4, 1e-2, 0.5)), label=f"r{i}") for i in (1, 2))
+    rng = make_rng(data.draw(st.integers(0, 2**16), label="seed"), 53)
+    z = rng.standard_normal((d, p))
+    x = rng.standard_normal((d, d)) @ z + 0.5 * rng.standard_normal((d, p))
+    y = rng.standard_normal((d, d)) @ z + 0.5 * rng.standard_normal((d, p))
+    rho = rho_of(x, y, k, r1, r2)
+    assert abs(rho - classical_cca_oracle(x, y, k, r1, r2).sum()) < 1e-8
+
+    a, b = (rng.standard_normal((d, d)) + d * np.eye(d) for _ in range(2))
+    base = rho_of(x, y, k)
+    assert abs(rho_of(a @ x, y, k) - base) < 1e-8
+    assert abs(rho_of(x, b @ y, k) - base) < 1e-8
 
 
 class TestClassicalOracle:

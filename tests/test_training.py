@@ -86,10 +86,12 @@ class TestConfig:
         assert cfg.ablation == "unimodal"
 
     def test_width_cross_checks(self):
-        with pytest.raises(ConfigError):
-            tiny_config(w_encoder=MlpSpec((3,)))
-        with pytest.raises(ConfigError):
-            tiny_config(s_decoder1=MlpSpec((5,)))
+        # the one place block widths are checked: assemble_sew trusts them
+        for block, spec in (("w_encoder", MlpSpec((3,))), ("s_decoder1", MlpSpec((5,))),
+                            ("s_encoder", MlpSpec((3,))), ("s_decoder2", MlpSpec((5,)))):
+            with pytest.raises(ConfigError) as exc:
+                tiny_config(**{block: spec})
+            assert block in str(exc.value)
 
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config(alpha=0.5, cca_batch_size=16)
