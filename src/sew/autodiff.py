@@ -2,11 +2,22 @@
 
 Every value in the graph is a 2-D float64 numpy array ("Matrix"). A Node
 wraps one matrix plus a gradient accumulator of the same shape; ops build a
-dynamic per-batch graph that is discarded after each optimizer step. Graph
-links run only from a node to its parents, never back, so a graph is freed
-by reference counting as soon as its loss node is dropped; the cyclic
-garbage collector is never needed. Once an Sgd is built over them, the
-parameters' values and grads are views into the optimizer's contiguous
+dynamic per-batch graph that is discarded after each optimizer step.
+
+Gradient bookkeeping exists only where a gradient can flow. `Node(value)`
+is a leaf that takes a gradient (a parameter, or an input to differentiate
+by); `constant(value)` is a leaf whose `grad` is None. An op keeps as
+parents only the inputs that carry a grad: data fed in as constants never
+gets a zero buffer or a backward pass, and an op over constants alone
+returns a constant, with no grad, no parents and no backward closure. So
+the same forward code trains a model and serves one whose parameters are
+constants (as `networks.load_model` returns them) at the cost of numpy
+alone. `affine(w, x, b)` computes a layer's `w @ x + b` as one node.
+
+Graph links run only from a node to its parents, never back, so a graph is
+freed by reference counting as soon as its loss node is dropped; the
+cyclic garbage collector is never needed. Once an Sgd is built over them,
+the parameters' values and grads are views into the optimizer's contiguous
 buffers. The engine keeps no global state, so independent training runs
 are safe to execute on separate threads.
 """
@@ -27,7 +38,7 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericError(f"{name} contains NaN or Inf")
     return m
 
@@ -48,21 +59,17 @@ def uniform_init(rows: int, cols: int, fan_in: int, rng: np.random.Generator) ->
 
 
 class Node:
-    """One graph node: a value, its gradient accumulator, and parent links."""
+    """One graph node: a value, its gradient accumulator (None for a
+    constant), and links to the parents that carry a gradient."""
 
     __slots__ = ("value", "grad", "parents", "_backward", "__weakref__")
 
-    def __init__(
-        self,
-        value,
-        parents: Sequence["Node"] = (),
-        backward: Callable[[], None] | None = None,
-        name: str = "node value",
-    ):
+    def __init__(self, value, name: str = "node value"):
+        """A leaf that takes a gradient."""
         self.value = as_matrix(value, name)
         self.grad = np.zeros_like(self.value)
-        self.parents = tuple(parents)
-        self._backward = backward
+        self.parents = ()
+        self._backward = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -75,158 +82,154 @@ class Node:
         return f"Node(shape={self.value.shape}, leaf={self._backward is None})"
 
 
-def _result(op: str, value: Matrix, parents: Sequence[Node]) -> Node:
-    """The output node of one op; the op then sets its `_backward`.
+def constant(values, name: str = "constant") -> Node:
+    """A leaf that takes no gradient: its `grad` is None and `backward`
+    never reaches it."""
+    out = Node.__new__(Node)
+    out.value = as_matrix(values, name)
+    out.grad = None
+    out.parents = ()
+    out._backward = None
+    return out
 
-    A backward closure captures the output's grad array (and its value
-    where needed), never the output node: node -> closure -> node would
-    make every graph a reference cycle that only the cyclic collector frees.
+
+def _result(op: str, value: Matrix, parents: Sequence[Node],
+            backward: Callable[[Matrix], None]) -> Node:
+    """The output node of one op.
+
+    Only the parents that carry a grad are kept; if none does, the output
+    is a constant and `backward` is dropped. Otherwise `backward(grad)` is
+    called with the output's grad array once every consumer of the output
+    has run, and adds into the grads of those parents whose grad is not
+    None. Taking the grad as an argument, the closure never needs the
+    output node: node -> closure -> node would make every graph a reference
+    cycle that only the cyclic collector frees.
     """
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericError(f"{op} produced a non-finite result")
     out = Node.__new__(Node)
     out.value = value
-    out.grad = np.zeros_like(value)
-    out.parents = tuple(parents)
+    out.parents = tuple(p for p in parents if p.grad is not None)
+    if out.parents:
+        out.grad = np.zeros_like(value)
+        out._backward = backward
+    else:
+        out.grad = None
+        out._backward = None
     return out
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(f"matmul: inner dims differ, {a.value.shape} x {b.value.shape}")
-    value = a.value @ b.value
-    out = _result("matmul", value, (a, b))
-    grad = out.grad
+def affine(w: Node, x: Node, b: Node) -> Node:
+    """w @ x + b, the column vector b (rows x 1) added to every column."""
+    if w.value.shape[1] != x.value.shape[0]:
+        raise DimensionError(f"affine: inner dims differ, {w.value.shape} x {x.value.shape}")
+    if b.value.shape != (w.value.shape[0], 1):
+        raise DimensionError(f"affine: bias {b.value.shape} does not fit rows of {w.value.shape}")
+    value = w.value @ x.value
+    value += b.value
 
-    def backward():
-        a.grad += grad @ b.value.T
-        b.grad += a.value.T @ grad
+    def backward(grad):
+        if w.grad is not None:
+            w.grad += grad @ x.value.T
+        if x.grad is not None:
+            x.grad += w.value.T @ grad
+        if b.grad is not None:
+            b.grad += grad.sum(axis=1, keepdims=True)
 
-    out._backward = backward
-    return out
+    return _result("affine", value, (w, x, b), backward)
 
 
 def elementwise_add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = _result("add", a.value + b.value, (a, b))
-    grad = out.grad
 
-    def backward():
-        a.grad += grad
-        b.grad += grad
+    def backward(grad):
+        if a.grad is not None:
+            a.grad += grad
+        if b.grad is not None:
+            b.grad += grad
 
-    out._backward = backward
-    return out
+    return _result("add", a.value + b.value, (a, b), backward)
 
 
 def elementwise_sub(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"sub: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = _result("sub", a.value - b.value, (a, b))
-    grad = out.grad
 
-    def backward():
-        a.grad += grad
-        b.grad -= grad
+    def backward(grad):
+        if a.grad is not None:
+            a.grad += grad
+        if b.grad is not None:
+            b.grad -= grad
 
-    out._backward = backward
-    return out
+    return _result("sub", a.value - b.value, (a, b), backward)
 
 
 def elementwise_mul(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = _result("mul", a.value * b.value, (a, b))
-    grad = out.grad
 
-    def backward():
-        a.grad += grad * b.value
-        b.grad += grad * a.value
+    def backward(grad):
+        if a.grad is not None:
+            a.grad += grad * b.value
+        if b.grad is not None:
+            b.grad += grad * a.value
 
-    out._backward = backward
-    return out
+    return _result("mul", a.value * b.value, (a, b), backward)
+
+
+# the unary ops below need no check on their input's grad: an output that
+# has a backward has its one parent, and that parent carries a grad
 
 
 def scalar_mul(x: Node, c: float) -> Node:
     c = float(c)
     if not np.isfinite(c):
         raise NumericError("scalar_mul: scalar is not finite")
-    out = _result("scalar_mul", c * x.value, (x,))
-    grad = out.grad
 
-    def backward():
+    def backward(grad):
         x.grad += c * grad
 
-    out._backward = backward
-    return out
-
-
-def add_bias(x: Node, b: Node) -> Node:
-    """Add a column vector b (w x 1) to every column of x (w x batch)."""
-    if b.value.shape != (x.value.shape[0], 1):
-        raise DimensionError(f"add_bias: bias {b.value.shape} does not fit rows of {x.value.shape}")
-    out = _result("add_bias", x.value + b.value, (x, b))
-    grad = out.grad
-
-    def backward():
-        x.grad += grad
-        b.grad += grad.sum(axis=1, keepdims=True)
-
-    out._backward = backward
-    return out
+    return _result("scalar_mul", c * x.value, (x,), backward)
 
 
 def tanh(x: Node) -> Node:
     value = np.tanh(x.value)
-    out = _result("tanh", value, (x,))
-    grad = out.grad
 
-    def backward():
+    def backward(grad):
         x.grad += grad * (1.0 - value * value)
 
-    out._backward = backward
-    return out
+    return _result("tanh", value, (x,), backward)
 
 
 def sigmoid(x: Node) -> Node:
+    """1 / (1 + exp(-v)) for v >= 0 and exp(v) / (1 + exp(v)) below, so
+    that exp never overflows; both forms are computed from exp(-|v|)."""
     v = x.value
-    value = np.empty_like(v)
-    pos = v >= 0
-    value[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    value[~pos] = ev / (1.0 + ev)
-    out = _result("sigmoid", value, (x,))
-    grad = out.grad
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    value = np.where(v >= 0, 1.0 / d, e / d)
 
-    def backward():
+    def backward(grad):
         x.grad += grad * value * (1.0 - value)
 
-    out._backward = backward
-    return out
+    return _result("sigmoid", value, (x,), backward)
 
 
 def mean_center_rows(x: Node) -> Node:
     """Subtract the per-row mean taken across columns (samples)."""
-    out = _result("mean_center_rows", x.value - x.value.mean(axis=1, keepdims=True), (x,))
-    grad = out.grad
 
-    def backward():
+    def backward(grad):
         x.grad += grad - grad.mean(axis=1, keepdims=True)
 
-    out._backward = backward
-    return out
+    return _result("mean_center_rows", x.value - x.value.mean(axis=1, keepdims=True), (x,), backward)
 
 
 def sum_all(x: Node) -> Node:
-    out = _result("sum_all", np.array([[x.value.sum()]]), (x,))
-    grad = out.grad
-
-    def backward():
+    def backward(grad):
         x.grad += grad[0, 0]
 
-    out._backward = backward
-    return out
+    return _result("sum_all", np.array([[x.value.sum()]]), (x,), backward)
 
 
 def mse_loss(pred: Node, target) -> Node:
@@ -236,14 +239,11 @@ def mse_loss(pred: Node, target) -> Node:
         raise DimensionError(f"mse_loss: shapes differ, {pred.value.shape} vs {target.shape}")
     diff = pred.value - target
     n = diff.size
-    out = _result("mse_loss", np.array([[(diff * diff).sum() / n]]), (pred,))
-    grad = out.grad
 
-    def backward():
+    def backward(grad):
         pred.grad += grad[0, 0] * (2.0 / n) * diff
 
-    out._backward = backward
-    return out
+    return _result("mse_loss", np.array([[(diff * diff).sum() / n]]), (pred,), backward)
 
 
 def backward(loss: Node) -> None:
@@ -254,6 +254,9 @@ def backward(loss: Node) -> None:
     """
     if loss.value.shape != (1, 1):
         raise GraphError(f"backward needs a scalar (1x1) loss, got shape {loss.value.shape}")
+    if loss.grad is None:
+        raise GraphError("backward needs a loss that depends on a node with a gradient; "
+                         "this one was computed from constants only")
     order: list[Node] = []
     visited: set[int] = set()
     stack: list[tuple[Node, bool]] = [(loss, False)]
@@ -272,7 +275,7 @@ def backward(loss: Node) -> None:
     loss.grad += 1.0
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 # elements per slice of the SGD update: the scratch rows stay in cache
@@ -312,6 +315,10 @@ class Sgd:
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ConfigError("a parameter is listed more than once")
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise ConfigError(f"parameter {i} (shape {p.value.shape}) is a constant and takes no "
+                                  "gradient; a model from load_model serves, it does not train")
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)

@@ -111,6 +111,14 @@ def _write_manifest(out_dir: Path, config, config_path, fingerprint: str) -> str
     return run_hash
 
 
+def _is_valid_spec(values: dict) -> bool:
+    try:
+        SyntheticSpec(**values)
+    except ConfigError:
+        return False
+    return True
+
+
 def cmd_gen_data(args) -> int:
     raw = _read_json_object(args.config) if args.config else {}
     flag_values = {
@@ -119,7 +127,8 @@ def cmd_gen_data(args) -> int:
         "weak_info_loss": args.weak_info_loss, "nonlinearity": args.depth,
         "n_samples": args.n_train, "n_dev": args.n_dev, "seed": args.seed,
     }
-    raw.update({k: v for k, v in flag_values.items() if v is not None})
+    flags = {k: v for k, v in flag_values.items() if v is not None}
+    raw.update(flags)
     kinds = {f.name: type(f.default) for f in dataclasses.fields(SyntheticSpec)}
     unknown = sorted(set(raw) - set(kinds))
     if unknown:
@@ -128,7 +137,13 @@ def cmd_gen_data(args) -> int:
     for key, value in raw.items():
         if type(value) is not kinds[key] and not (kinds[key] is float and type(value) is int):
             raise ConfigError(f"{args.config}: dataset key {key!r} must be {kinds[key].__name__}, got {value!r}")
-    spec = SyntheticSpec(**raw)
+    try:
+        spec = SyntheticSpec(**raw)
+    except ConfigError as err:
+        # the file is at fault if the flag values alone make a valid spec
+        if args.config and _is_valid_spec(flags):
+            raise ConfigError(f"{args.config}: {err}") from None
+        raise
 
     train_set, dev_set, truth = generate_synthetic(spec)
     out = Path(args.out)
@@ -214,6 +229,8 @@ def cmd_eval(args) -> int:
             raise ConfigError("--truth and --pred go together")
         truth = load_labels(args.truth)
         preds = load_labels(args.pred)
+        if truth.shape[1] != preds.shape[1]:
+            raise DataError(f"{args.truth} has {truth.shape[1]} rows but {args.pred} has {preds.shape[1]}")
     else:
         if not args.model:
             raise ConfigError("--model is required when evaluating from features")

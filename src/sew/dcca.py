@@ -100,18 +100,17 @@ def cca_correlation(m_ss: Node, m_sw: Node, k: int, r1: float, r2: float) -> Nod
             "singular values %d and %d nearly tied (gap %.3e); top-k gradient is unreliable here",
             k, k + 1, float(svals[k - 1] - svals[k]),
         )
-    out = _result("cca_correlation", np.array([[rho]]), (m_ss, m_sw))
-    grad = out.grad
 
-    def backward():
+    def backward(grad):
         uk = u[:, :k]
         vk = vt[:k].T
         delta_sw = inv_s @ uk @ vk.T @ inv_w
-        delta_ss = -0.5 * inv_s @ (uk * svals[:k]) @ uk.T @ inv_s
-        delta_ww = -0.5 * inv_w @ (vk * svals[:k]) @ vk.T @ inv_w
         g = grad[0, 0]
-        m_ss.grad += g * (2.0 * delta_ss @ hs + delta_sw @ hw) / (p - 1)
-        m_sw.grad += g * (2.0 * delta_ww @ hw + delta_sw.T @ hs) / (p - 1)
+        if m_ss.grad is not None:
+            delta_ss = -0.5 * inv_s @ (uk * svals[:k]) @ uk.T @ inv_s
+            m_ss.grad += g * (2.0 * delta_ss @ hs + delta_sw @ hw) / (p - 1)
+        if m_sw.grad is not None:
+            delta_ww = -0.5 * inv_w @ (vk * svals[:k]) @ vk.T @ inv_w
+            m_sw.grad += g * (2.0 * delta_ww @ hw + delta_sw.T @ hs) / (p - 1)
 
-    out._backward = backward
-    return out
+    return _result("cca_correlation", np.array([[rho]]), (m_ss, m_sw), backward)

@@ -117,7 +117,7 @@ class Linear:
         self.bias = Node(np.zeros((out_dim, 1)))
 
     def forward(self, x: Node) -> Node:
-        return ad.add_bias(ad.matmul(self.weight, x), self.bias)
+        return ad.affine(self.weight, x, self.bias)
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
@@ -178,8 +178,8 @@ class GatedLayer:
     def forward(self, x: Node) -> Node:
         if x.shape[0] != self.in_dim:
             raise DimensionError(f"gated layer expects {self.in_dim}-d input, got {x.shape}")
-        z = ad.sigmoid(ad.add_bias(ad.matmul(self.w_z, x), self.b_z))
-        cand = ad.tanh(ad.add_bias(ad.matmul(self.w_h, x), self.b_h))
+        z = ad.sigmoid(ad.affine(self.w_z, x, self.b_z))
+        cand = ad.tanh(ad.affine(self.w_h, x, self.b_h))
         return ad.elementwise_mul(z, cand)
 
     def named_parameters(self, prefix: str):
@@ -275,7 +275,7 @@ class SewModel:
             raise DimensionError(f"expected {self.d2}-d weaker features, got {m_w.shape[0]} rows")
         if self.scaler_weak is not None:
             m_w = self.scaler_weak.apply(m_w)
-        return self.deployment_forward(Node(m_w)).value.copy()
+        return self.deployment_forward(ad.constant(m_w, "m_w")).value.copy()
 
 
 def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
@@ -368,16 +368,36 @@ def save_model(model: SewModel, path, deployment: bool = False) -> None:
 
 
 def _read_npy(zf: zipfile.ZipFile, path, name: str) -> Matrix:
+    """A member as a finite float64 array; anything else names the member."""
     try:
         with zf.open(name) as fh:
-            return np.lib.format.read_array(io.BytesIO(fh.read()), allow_pickle=False)
+            stored = np.lib.format.read_array(io.BytesIO(fh.read()), allow_pickle=False)
+        stored = np.asarray(stored, dtype=np.float64)
     except KeyError:
         raise ExportError(f"{path}: model file lacks member {name}") from None
-    except (zipfile.BadZipFile, ValueError) as err:
+    except (zipfile.BadZipFile, ValueError, TypeError) as err:
         raise ExportError(f"{path}: member {name} is unreadable ({err})") from None
+    if not np.isfinite(stored).all():
+        raise ExportError(f"{path}: member {name} holds NaN or Inf")
+    return stored
+
+
+def _rebuild_block(path, info):
+    """An all-zero block of the shape `info` (one entry of meta.json's
+    "blocks") describes."""
+    if not isinstance(info, dict):
+        raise ExportError(f"{path}: a meta.json block entry must be a JSON object, got {info!r}")
+    if info["type"] == "mlp":
+        return Mlp(MlpSpec(tuple(info["layer_sizes"])), info["input_dim"], None)
+    if info["type"] == "gru_regressor":
+        spec = GruRegressorSpec(info["num_layers"], info["hidden"], info["output"])
+        return GruRegressor(spec, info["input_dim"], None)
+    raise ExportError(f"{path}: unknown block type {info['type']!r}")
 
 
 def load_model(path) -> SewModel:
+    """Read a model file. Its parameters are constants (their grad is None):
+    predict runs on numpy alone, and an optimizer refuses them."""
     try:
         zf = zipfile.ZipFile(path, "r")
     except zipfile.BadZipFile:
@@ -393,33 +413,32 @@ def load_model(path) -> SewModel:
             raise ExportError(f"{path}: meta.json must be a JSON object")
         if meta.get("format_version") not in _READABLE_FORMATS:
             raise ExportError(f"{path}: unsupported model format {meta.get('format_version')!r}")
-
-        def rebuild(name, required=False):
-            info = meta["blocks"][name] if required else meta["blocks"].get(name)
-            if info is None:
-                return None
-            if info["type"] == "mlp":
-                return Mlp(MlpSpec(tuple(info["layer_sizes"])), info["input_dim"], None)
-            spec = GruRegressorSpec(info["num_layers"], info["hidden"], info["output"])
-            return GruRegressor(spec, info["input_dim"], None)
-
         try:
-            model = SewModel(
-                meta["latent_dim"], meta["d1"], meta["d2"], meta["ablation"],
-                rebuild("w_encoder", required=True), rebuild("regressor", required=True),
-                s_decoder1=rebuild("s_decoder1"), s_encoder=rebuild("s_encoder"),
-                s_decoder2=rebuild("s_decoder2"),
-            )
+            blocks = meta["blocks"]
+            if not isinstance(blocks, dict):
+                raise ExportError(f"{path}: meta.json 'blocks' must be a JSON object, got {blocks!r}")
+            for required in ("w_encoder", "regressor"):
+                if blocks.get(required) is None:
+                    raise KeyError(required)
+            built = {name: _rebuild_block(path, blocks[name]) for name in _BLOCK_STREAMS
+                     if blocks.get(name) is not None}
+            model = SewModel(meta["latent_dim"], meta["d1"], meta["d2"], meta["ablation"], **built)
             scalers = meta["scalers"]
         except KeyError as err:
             raise ExportError(f"{path}: meta.json lacks required key {err.args[0]!r}") from None
+        except (TypeError, ValueError, ConfigError) as err:
+            raise ExportError(f"{path}: meta.json is malformed ({err})") from None
         for pname, param in model.named_parameters():
             stored = _read_npy(zf, path, pname + ".npy")
             if stored.shape != param.value.shape:
                 raise ExportError(f"{path}: parameter {pname} has shape {stored.shape}, expected {param.value.shape}")
             param.value = stored
-            param.grad = np.zeros_like(stored)
+            param.grad = None
         for sname in scalers:
+            if sname not in ("scaler_weak", "scaler_strong"):
+                raise ExportError(f"{path}: unknown scaler {sname!r} in meta.json")
             scaler = Standardizer(_read_npy(zf, path, sname + ".mean.npy"), _read_npy(zf, path, sname + ".scale.npy"))
+            if not (scaler.scale > 0).all():
+                raise ExportError(f"{path}: member {sname}.scale.npy holds a scale <= 0")
             setattr(model, sname, scaler)
     return model

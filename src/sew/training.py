@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics
-from .autodiff import Node, Sgd, make_rng
+from .autodiff import Sgd, make_rng
 from .data import Dataset, ModalityBatch, batcher, standardize_dataset
 from .dcca import cca_correlation
 from .errors import ConditioningError, ConfigError, ExportError, NumericError
@@ -212,7 +212,7 @@ def sew_loss(model: SewModel, batch, config: SewConfig, cca_batch=None):
             if getattr(model, block) is None:
                 raise ConfigError(f"loss term {term} is active but the model has no {block}")
 
-    m_w = Node(batch.m_w)
+    m_w = ad.constant(batch.m_w, "m_w")
     m_sw = model.w_encoder.forward(m_w)
     p_l = model.regressor.forward(m_sw)
     l4 = ad.mse_loss(p_l, batch.labels)
@@ -221,7 +221,7 @@ def sew_loss(model: SewModel, batch, config: SewConfig, cca_batch=None):
 
     m_ss = None
     if "l2" in terms or ("l3" in terms and cca_batch is None):
-        m_ss = model.s_encoder.forward(Node(batch.m_s))
+        m_ss = model.s_encoder.forward(ad.constant(batch.m_s, "m_s"))
     if "l1" in terms:
         l1 = ad.mse_loss(model.s_decoder1.forward(m_sw), batch.m_s)
         components["e1"] = float(l1.value[0, 0])
@@ -234,8 +234,8 @@ def sew_loss(model: SewModel, batch, config: SewConfig, cca_batch=None):
         if cca_batch is None:
             ss_view, sw_view = m_ss, m_sw
         else:
-            ss_view = model.s_encoder.forward(Node(cca_batch.m_s))
-            sw_view = model.w_encoder.forward(Node(cca_batch.m_w))
+            ss_view = model.s_encoder.forward(ad.constant(cca_batch.m_s, "cca m_s"))
+            sw_view = model.w_encoder.forward(ad.constant(cca_batch.m_w, "cca m_w"))
         rho = cca_correlation(ss_view, sw_view, config.k, config.r1, config.r2)
         components["e3"] = -float(rho.value[0, 0])
         total = ad.elementwise_add(total, ad.scalar_mul(rho, -config.gamma))
@@ -256,7 +256,7 @@ def _restore(model: SewModel, snap: dict) -> None:
 def _dev_eval(model: SewModel, dev_std: Dataset, config: SewConfig) -> metrics.EvalResult:
     # deployment path only: the stronger modality must never leak into
     # model selection
-    preds = model.deployment_forward(Node(dev_std.m_w)).value
+    preds = model.deployment_forward(ad.constant(dev_std.m_w, "dev m_w")).value
     return metrics.evaluate(dev_std.labels, preds, config.sample_variance_ccc)
 
 

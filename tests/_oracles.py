@@ -42,6 +42,18 @@ def rel_errors(analytic, numeric, floor=1e-6):
     return np.abs(analytic - numeric) / denom
 
 
+def masked_sigmoid(v):
+    """The logistic function, split by sign so exp never overflows: a mask
+    picks 1 / (1 + exp(-v)) where v >= 0 and exp(v) / (1 + exp(v)) elsewhere."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
 def classical_cca_oracle(x, y, k: int, r1: float = 0.0, r2: float = 0.0) -> np.ndarray:
     """Top-k canonical correlations via the generalized eigenproblem.
 

@@ -2,20 +2,22 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import fd_gradients, intermediate_refs, rel_errors
+from _oracles import fd_gradients, intermediate_refs, masked_sigmoid, rel_errors
 from sew.autodiff import (
     _CHUNK,
     Node,
     Sgd,
-    add_bias,
+    affine,
     as_matrix,
     backward,
+    constant,
     elementwise_add,
     elementwise_mul,
     elementwise_sub,
     make_rng,
-    matmul,
     mean_center_rows,
     mse_loss,
     scalar_mul,
@@ -24,6 +26,7 @@ from sew.autodiff import (
     tanh,
     uniform_init,
 )
+from sew.dcca import cca_correlation
 from sew.errors import ConfigError, DimensionError, GraphError, NumericError
 
 
@@ -59,38 +62,56 @@ def test_uniform_init_bound():
     assert w.max() > 0.5 * bound and w.min() < -0.5 * bound
 
 
-def test_matmul_value():
-    a = Node([[1.0, 2.0]])
-    b = Node([[3.0], [4.0]])
-    out = matmul(a, b)
-    np.testing.assert_array_equal(out.value, [[11.0]])
+def test_affine_value():
+    out = affine(Node([[1.0, 2.0]]), Node([[3.0], [4.0]]), Node([[0.5]]))
+    np.testing.assert_array_equal(out.value, [[11.5]])
 
 
-def test_matmul_identity():
+def test_affine_identity():
     rng = make_rng(1)
     x = rng.standard_normal((4, 4))
-    out = matmul(Node(np.eye(4)), Node(x))
+    out = affine(Node(np.eye(4)), Node(x), Node(np.zeros((4, 1))))
     np.testing.assert_array_equal(out.value, x)
 
 
-def test_matmul_shape_error_names_shapes():
+def test_affine_shape_error_names_shapes():
     with pytest.raises(DimensionError) as exc:
-        matmul(Node(np.zeros((2, 3))), Node(np.zeros((2, 3))))
+        affine(Node(np.zeros((2, 3))), Node(np.zeros((2, 3))), Node(np.zeros((2, 1))))
     assert "(2, 3)" in str(exc.value)
 
 
-def test_matmul_grad_of_sum():
-    # d(sum(A @ B))/dA_ij = sum_k B_jk; for B of ones that is 2 everywhere
+def test_affine_grad_of_sum():
+    # d(sum(A @ B + c))/dA_ij = sum_k B_jk; for B of ones that is 2
+    # everywhere, and each entry of c is added to 2 columns
     a = Node(np.ones((2, 2)))
     b = Node(np.ones((2, 2)))
-    loss = sum_all(matmul(a, b))
+    c = Node(np.ones((2, 1)))
+    loss = sum_all(affine(a, b, c))
     backward(loss)
     np.testing.assert_allclose(a.grad, [[2.0, 2.0], [2.0, 2.0]], atol=1e-12)
     np.testing.assert_allclose(b.grad, [[2.0, 2.0], [2.0, 2.0]], atol=1e-12)
-    fd = fd_gradients(lambda: sum_all(matmul(a, b)), [a, b], h=1e-6)
+    np.testing.assert_allclose(c.grad, [[2.0], [2.0]], atol=1e-12)
+    fd = fd_gradients(lambda: sum_all(affine(a, b, c)), [a, b, c], h=1e-6)
     np.testing.assert_allclose(a.grad, fd[0], rtol=1e-6)
     np.testing.assert_allclose(b.grad, fd[1], rtol=1e-6)
+    np.testing.assert_allclose(c.grad, fd[2], rtol=1e-6)
 
+
+def test_affine_matches_numpy_and_central_differences():
+    for seed in range(3):
+        rng = make_rng(seed, 41)
+        w, x, b = (Node(rng.standard_normal(shape)) for shape in ((3, 5), (5, 4), (3, 1)))
+        y = rng.standard_normal((3, 4))
+        out = affine(w, x, b)
+        assert out.value.tobytes() == (w.value @ x.value + b.value).tobytes()
+        assert out.parents == (w, x, b)
+
+        def build():
+            return mse_loss(tanh(affine(w, x, b)), y)
+
+        backward(build())
+        for p, g in zip((w, x, b), fd_gradients(build, [w, x, b], h=1e-6)):
+            assert rel_errors(p.grad, g).max() < 1e-6
 
 def test_elementwise_values():
     x = Node([[1.0, -2.0], [0.5, 3.0]])
@@ -119,13 +140,14 @@ def test_mean_center_rows_value():
     np.testing.assert_allclose(out.value, [[-1.0, 0.0, 1.0]], atol=1e-15)
 
 
-def test_add_bias_broadcast():
-    x = Node(np.zeros((2, 3)))
+def test_affine_bias_broadcast():
+    w = Node(np.zeros((2, 4)))
+    x = Node(np.ones((4, 3)))
     b = Node([[1.0], [-2.0]])
-    out = add_bias(x, b)
+    out = affine(w, x, b)
     np.testing.assert_array_equal(out.value, [[1.0, 1.0, 1.0], [-2.0, -2.0, -2.0]])
     with pytest.raises(DimensionError):
-        add_bias(x, Node([[1.0, 2.0]]))
+        affine(w, x, Node([[1.0, 2.0]]))
 
 
 def test_mse_value_and_grad():
@@ -197,12 +219,13 @@ def test_backward_linearity():
         backward(builder(wn))
         return wn.grad
 
-    g1 = grad_of(lambda wn: mse_loss(matmul(wn, Node(x)), t1))
-    g2 = grad_of(lambda wn: mse_loss(tanh(matmul(wn, Node(x))), t2))
+    bias = Node(np.zeros((3, 1)))
+    g1 = grad_of(lambda wn: mse_loss(affine(wn, constant(x), bias), t1))
+    g2 = grad_of(lambda wn: mse_loss(tanh(affine(wn, constant(x), bias)), t2))
 
     def combined(wn):
-        l1 = mse_loss(matmul(wn, Node(x)), t1)
-        l2 = mse_loss(tanh(matmul(wn, Node(x))), t2)
+        l1 = mse_loss(affine(wn, constant(x), bias), t1)
+        l2 = mse_loss(tanh(affine(wn, constant(x), bias)), t2)
         return elementwise_add(scalar_mul(l1, 0.3), scalar_mul(l2, -1.7))
 
     g = grad_of(combined)
@@ -222,8 +245,8 @@ def test_fd_composite_network():
         params = [w1, b1, w2, b2]
 
         def build():
-            h = tanh(add_bias(matmul(w1, Node(x)), b1))
-            out = add_bias(matmul(w2, h), b2)
+            h = tanh(affine(w1, constant(x), b1))
+            out = affine(w2, h, b2)
             return mse_loss(out, y)
 
         backward(build())
@@ -235,11 +258,12 @@ def test_fd_composite_network():
 def test_fd_sigmoid_and_centering():
     rng = make_rng(21)
     w = Node(rng.standard_normal((3, 3)))
+    b = constant(np.zeros((3, 1)))
     x = rng.standard_normal((3, 8))
     y = rng.standard_normal((3, 8))
 
     def build():
-        return mse_loss(mean_center_rows(sigmoid(matmul(w, Node(x)))), y)
+        return mse_loss(mean_center_rows(sigmoid(affine(w, constant(x), b))), y)
 
     backward(build())
     fd = fd_gradients(build, [w], h=1e-6)
@@ -255,13 +279,13 @@ def test_graph_freed_by_refcount():
     gc.disable()
     try:
         x = Node(rng.standard_normal((4, 5)))
-        h = add_bias(matmul(w, x), b)
+        h = affine(w, x, b)
         mixed = elementwise_mul(tanh(h), sigmoid(elementwise_sub(h, Node(np.ones((3, 5))))))
         centered = mean_center_rows(elementwise_add(mixed, scalar_mul(h, 0.5)))
         loss = elementwise_add(mse_loss(centered, np.zeros((3, 5))), sum_all(h))
         backward(loss)
         refs = intermediate_refs(loss, keep=(w, b))
-        assert len(refs) == 14
+        assert len(refs) == 13
         del x, h, mixed, centered, loss
         assert [r for r in refs if r() is not None] == []
     finally:
@@ -272,7 +296,70 @@ def test_overflow_raises_numeric_error():
     big = Node(np.full((1, 1), 1e308))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError):
-            matmul(big, big)
+            affine(big, big, Node(np.zeros((1, 1))))
+
+
+class TestConstants:
+    def test_constant_leaf_takes_no_grad(self):
+        c = constant([[1.0, 2.0]], "data")
+        assert c.grad is None and c.parents == () and c._backward is None
+        with pytest.raises(NumericError, match="data"):
+            constant([[np.nan]], "data")
+
+    def test_constant_parents_are_dropped(self):
+        rng = make_rng(23)
+        w, b = Node(rng.standard_normal((2, 3))), Node(rng.standard_normal((2, 1)))
+        x = constant(rng.standard_normal((3, 4)))
+        h = affine(w, x, b)
+        assert h.parents == (w, b)
+        out = elementwise_mul(h, constant(np.full((2, 4), 2.0)))
+        assert out.parents == (h,)
+        backward(sum_all(out))
+        np.testing.assert_array_equal(w.grad, 2.0 * np.ones((2, 4)) @ x.value.T)
+        np.testing.assert_array_equal(b.grad, np.full((2, 1), 8.0))
+        assert x.grad is None
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: affine(a, b, constant(np.ones((3, 1)))),
+        elementwise_add,
+        elementwise_sub,
+        elementwise_mul,
+        lambda a, b: scalar_mul(a, 2.0),
+        lambda a, b: tanh(a),
+        lambda a, b: sigmoid(a),
+        lambda a, b: mean_center_rows(a),
+        lambda a, b: sum_all(a),
+        lambda a, b: mse_loss(a, b.value),
+        lambda a, b: cca_correlation(a, b, 2, 1e-2, 1e-2),
+    ])
+    def test_op_over_constants_is_a_constant(self, op):
+        rng = make_rng(24)
+        a, b = constant(rng.standard_normal((3, 3))), constant(rng.standard_normal((3, 3)))
+        out = op(a, b)
+        assert out.grad is None and out.parents == () and out._backward is None
+
+    def test_backward_on_parameter_free_loss_raises(self):
+        loss = sum_all(tanh(constant(np.ones((2, 2)))))
+        with pytest.raises(GraphError, match="constant"):
+            backward(loss)
+
+    def test_sgd_rejects_a_constant_by_position(self):
+        with pytest.raises(ConfigError, match="parameter 1 "):
+            Sgd([Node(np.ones((1, 1))), constant(np.ones((2, 2)))], lr=0.1)
+
+
+# +-0, the edges of exp's range (exp(-745) is the smallest subnormal) and
+# far past them, and subnormal inputs
+_SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e300, -1e300, 5e-324, -5e-324, 2.2e-308, -1e-310]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_SIGMOID_EDGES),
+                min_size=1, max_size=40))
+@example(_SIGMOID_EDGES)
+def test_sigmoid_matches_masked_two_branch_formula(values):
+    v = np.array([values])
+    assert sigmoid(Node(v)).value.tobytes() == masked_sigmoid(v).tobytes()
 
 
 class TestSgd:

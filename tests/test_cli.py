@@ -112,6 +112,18 @@ class TestGenData:
         assert err.startswith("error:") and "spec.json" in err and "n_samples" in err
 
 
+    def test_range_error_from_config_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text('{"n_samples": 50}')
+        assert run("gen-data", "--out", tmp_path / "d", "--config", cfg) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: n_samples must be >= 100, got 50\n"
+        # a flag that overrides the bad value makes the file's spec valid
+        assert run("gen-data", "--out", tmp_path / "d", "--config", cfg, "--n-train", 100, "--n-dev", 10) == 0
+        # a bad flag value is not blamed on the file
+        cfg.write_text('{"n_dev": 10}')
+        assert run("gen-data", "--out", tmp_path / "e", "--config", cfg, "--n-train", 50) == 1
+        assert capsys.readouterr().err.endswith("error: n_samples must be >= 100, got 50\n")
+
 class TestTrainCommand:
     def test_produces_run_artifacts(self, tmp_path, capsys):
         data = small_dataset(tmp_path)
@@ -227,6 +239,14 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "ccc=1.000000" in out
         assert "acc=100.0000" in out
+
+    def test_truth_pred_length_mismatch_names_both_files(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        pred = tmp_path / "pred.csv"
+        write_csv(truth, np.zeros((1, 10)))
+        write_csv(pred, np.zeros((1, 12)))
+        assert run("eval", "--truth", truth, "--pred", pred) == 1
+        assert capsys.readouterr().err == f"error: {truth} has 10 rows but {pred} has 12\n"
 
     def test_model_on_dataset_dir(self, tmp_path, capsys):
         data = small_dataset(tmp_path)

@@ -1,3 +1,4 @@
+import io
 import json
 import zipfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import fd_gradients, rel_errors
-from sew.autodiff import Node, backward, make_rng, sum_all, uniform_init
+from sew.autodiff import Node, Sgd, backward, constant, make_rng, sum_all, uniform_init
 from sew.data import Standardizer
 from sew.errors import ConfigError, DimensionError, ExportError
 from sew.networks import (
@@ -363,6 +364,63 @@ class TestSerialization:
             for n, payload in members.items():
                 zf.writestr(n, payload)
 
+    def replace_member(self, path, name, array):
+        with zipfile.ZipFile(path) as zf:
+            members = {n: zf.read(n) for n in zf.namelist()}
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, array, allow_pickle=False)
+        members[name] = buf.getvalue()
+        with zipfile.ZipFile(path, "w") as zf:
+            for n, payload in members.items():
+                zf.writestr(n, payload)
+
+    def test_loaded_model_serves_on_constants(self, tmp_path):
+        model = self.build()
+        path = tmp_path / "model.npz"
+        save_model(model, path, deployment=True)
+        loaded = load_model(path)
+        assert all(p.grad is None for _, p in loaded.named_parameters())
+        x = make_rng(15, 83).standard_normal((3, 8))
+        out = loaded.deployment_forward(constant(loaded.scaler_weak.apply(x)))
+        assert out.parents == () and out.grad is None
+        assert loaded.predict(x).tobytes() == model.predict(x).tobytes()
+        assert out.value.tobytes() == loaded.predict(x).tobytes()
+        with pytest.raises(ConfigError, match="parameter 0 "):
+            Sgd((p for _, p in loaded.named_parameters()), lr=0.1)
+
+    @pytest.mark.parametrize("member, bad", [
+        ("w_encoder.layers.0.weight.npy", np.inf),
+        ("regressor.cells.0.b_z.npy", -np.inf),
+        ("scaler_weak.scale.npy", np.nan),
+        ("scaler_weak.scale.npy", 0.0),
+    ])
+    def test_unusable_member_value_rejected(self, tmp_path, member, bad):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        with zipfile.ZipFile(path) as zf:
+            array = np.lib.format.read_array(io.BytesIO(zf.read(member)))
+        array[0, 0] = bad
+        self.replace_member(path, member, array)
+        with pytest.raises(ExportError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value) and member in str(exc.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.update(blocks=[]),
+        lambda meta: meta["blocks"].update(w_encoder=[1, 2]),
+        lambda meta: meta["blocks"].update(s_encoder="mlp"),
+        lambda meta: meta["blocks"]["regressor"].update(type="lstm"),
+        lambda meta: meta["blocks"]["w_encoder"].update(layer_sizes=7),
+        lambda meta: meta.update(scalers=["scaler_weak", "__class__"]),
+    ])
+    def test_malformed_meta_named(self, tmp_path, edit):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        self.rewrite_meta(path, edit)
+        with pytest.raises(ExportError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
     @pytest.mark.parametrize("edit, key", [
         (lambda meta: meta.pop("d2"), "d2"),
         (lambda meta: meta.pop("scalers"), "scalers"),
@@ -407,8 +465,6 @@ class TestSerialization:
         with zipfile.ZipFile(path) as zf:
             members = {n: zf.read(n) for n in zf.namelist()}
         target = next(n for n in members if n.endswith("w_z.npy"))
-        import io
-
         buf = io.BytesIO()
         np.lib.format.write_array(buf, np.zeros((1, 1)), allow_pickle=False)
         members[target] = buf.getvalue()
