@@ -12,7 +12,19 @@ gets a zero buffer or a backward pass, and an op over constants alone
 returns a constant, with no grad, no parents and no backward closure. So
 the same forward code trains a model and serves one whose parameters are
 constants (as `networks.load_model` returns them) at the cost of numpy
-alone. `affine(w, x, b)` computes a layer's `w @ x + b` as one node.
+alone; `no_grad(nodes)` lends a trained model's parameters to such a pass.
+`affine(w, x, b)` computes a layer's `w @ x + b` as one node.
+
+Finiteness is checked where a value enters or leaves the graph, not after
+each op. A leaf (`Node`, `constant`) refuses NaN and Inf; `backward`
+refuses a loss that is not finite before any closure runs; `Sgd.step`
+refuses a non-finite grad before it moves anything and checks every value
+after the update. Ops check shapes only (and `scalar_mul` its scalar). A
+NaN made inside the graph propagates to whatever the graph outputs, so it
+always reaches the loss, or the output that `SewModel.predict` checks. An
+overflow that a saturating `tanh` or `sigmoid` maps back into range is not
+an error: the result is the exact limit (tanh gives +-1, sigmoid 0 or 1),
+and the gradient through it is 0.
 
 Graph links run only from a node to its parents, never back, so a graph is
 freed by reference counting as soon as its loss node is dropped; the
@@ -24,6 +36,7 @@ are safe to execute on separate threads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -33,11 +46,17 @@ from .errors import ConfigError, DimensionError, GraphError, NumericError
 Matrix = np.ndarray  # 2-D float64, row-major
 
 
-def as_matrix(values, name: str = "matrix") -> Matrix:
-    """Coerce to a finite 2-D float64 array or raise."""
+def as_2d(values, name: str = "matrix") -> Matrix:
+    """Coerce to a 2-D float64 array or raise; the entries are not inspected."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
+    return m
+
+
+def as_matrix(values, name: str = "matrix") -> Matrix:
+    """Coerce to a finite 2-D float64 array or raise."""
+    m = as_2d(values, name)
     if not np.isfinite(m).all():
         raise NumericError(f"{name} contains NaN or Inf")
     return m
@@ -93,9 +112,23 @@ def constant(values, name: str = "constant") -> Node:
     return out
 
 
-def _result(op: str, value: Matrix, parents: Sequence[Node],
-            backward: Callable[[Matrix], None]) -> Node:
-    """The output node of one op.
+@contextmanager
+def no_grad(nodes: Iterable[Node]):
+    """Within the block, `nodes` act as constants: their grads are set
+    aside (None) and the same arrays put back on exit. Ops over them then
+    record no graph, and their values are used in place, never copied."""
+    saved = [(node, node.grad) for node in nodes]
+    for node, _ in saved:
+        node.grad = None
+    try:
+        yield
+    finally:
+        for node, grad in saved:
+            node.grad = grad
+
+
+def _result(value: Matrix, parents: Sequence[Node], backward: Callable[[Matrix], None]) -> Node:
+    """The output node of one op; its value is not inspected.
 
     Only the parents that carry a grad are kept; if none does, the output
     is a constant and `backward` is dropped. Otherwise `backward(grad)` is
@@ -105,8 +138,6 @@ def _result(op: str, value: Matrix, parents: Sequence[Node],
     output node: node -> closure -> node would make every graph a reference
     cycle that only the cyclic collector frees.
     """
-    if not np.isfinite(value).all():
-        raise NumericError(f"{op} produced a non-finite result")
     out = Node.__new__(Node)
     out.value = value
     out.parents = tuple(p for p in parents if p.grad is not None)
@@ -136,7 +167,7 @@ def affine(w: Node, x: Node, b: Node) -> Node:
         if b.grad is not None:
             b.grad += grad.sum(axis=1, keepdims=True)
 
-    return _result("affine", value, (w, x, b), backward)
+    return _result(value, (w, x, b), backward)
 
 
 def elementwise_add(a: Node, b: Node) -> Node:
@@ -149,7 +180,7 @@ def elementwise_add(a: Node, b: Node) -> Node:
         if b.grad is not None:
             b.grad += grad
 
-    return _result("add", a.value + b.value, (a, b), backward)
+    return _result(a.value + b.value, (a, b), backward)
 
 
 def elementwise_sub(a: Node, b: Node) -> Node:
@@ -162,7 +193,7 @@ def elementwise_sub(a: Node, b: Node) -> Node:
         if b.grad is not None:
             b.grad -= grad
 
-    return _result("sub", a.value - b.value, (a, b), backward)
+    return _result(a.value - b.value, (a, b), backward)
 
 
 def elementwise_mul(a: Node, b: Node) -> Node:
@@ -175,7 +206,7 @@ def elementwise_mul(a: Node, b: Node) -> Node:
         if b.grad is not None:
             b.grad += grad * a.value
 
-    return _result("mul", a.value * b.value, (a, b), backward)
+    return _result(a.value * b.value, (a, b), backward)
 
 
 # the unary ops below need no check on their input's grad: an output that
@@ -190,7 +221,7 @@ def scalar_mul(x: Node, c: float) -> Node:
     def backward(grad):
         x.grad += c * grad
 
-    return _result("scalar_mul", c * x.value, (x,), backward)
+    return _result(c * x.value, (x,), backward)
 
 
 def tanh(x: Node) -> Node:
@@ -199,7 +230,7 @@ def tanh(x: Node) -> Node:
     def backward(grad):
         x.grad += grad * (1.0 - value * value)
 
-    return _result("tanh", value, (x,), backward)
+    return _result(value, (x,), backward)
 
 
 def sigmoid(x: Node) -> Node:
@@ -213,7 +244,7 @@ def sigmoid(x: Node) -> Node:
     def backward(grad):
         x.grad += grad * value * (1.0 - value)
 
-    return _result("sigmoid", value, (x,), backward)
+    return _result(value, (x,), backward)
 
 
 def mean_center_rows(x: Node) -> Node:
@@ -222,19 +253,19 @@ def mean_center_rows(x: Node) -> Node:
     def backward(grad):
         x.grad += grad - grad.mean(axis=1, keepdims=True)
 
-    return _result("mean_center_rows", x.value - x.value.mean(axis=1, keepdims=True), (x,), backward)
+    return _result(x.value - x.value.mean(axis=1, keepdims=True), (x,), backward)
 
 
 def sum_all(x: Node) -> Node:
     def backward(grad):
         x.grad += grad[0, 0]
 
-    return _result("sum_all", np.array([[x.value.sum()]]), (x,), backward)
+    return _result(np.array([[x.value.sum()]]), (x,), backward)
 
 
 def mse_loss(pred: Node, target) -> Node:
     """Mean over all entries of (pred - target)^2, as a 1x1 node."""
-    target = as_matrix(target, "mse target")
+    target = as_2d(target, "mse target")
     if pred.value.shape != target.shape:
         raise DimensionError(f"mse_loss: shapes differ, {pred.value.shape} vs {target.shape}")
     diff = pred.value - target
@@ -243,7 +274,7 @@ def mse_loss(pred: Node, target) -> Node:
     def backward(grad):
         pred.grad += grad[0, 0] * (2.0 / n) * diff
 
-    return _result("mse_loss", np.array([[(diff * diff).sum() / n]]), (pred,), backward)
+    return _result(np.array([[(diff * diff).sum() / n]]), (pred,), backward)
 
 
 def backward(loss: Node) -> None:
@@ -251,12 +282,15 @@ def backward(loss: Node) -> None:
 
     Visits each node exactly once, in reverse topological order. Grads are
     accumulated, not overwritten: zero parameter grads before each step.
+    A loss that is NaN or Inf raises NumericError before any closure runs.
     """
     if loss.value.shape != (1, 1):
         raise GraphError(f"backward needs a scalar (1x1) loss, got shape {loss.value.shape}")
     if loss.grad is None:
         raise GraphError("backward needs a loss that depends on a node with a gradient; "
                          "this one was computed from constants only")
+    if not np.isfinite(loss.value[0, 0]):
+        raise NumericError(f"loss is not finite ({float(loss.value[0, 0])!r})")
     order: list[Node] = []
     visited: set[int] = set()
     stack: list[tuple[Node, bool]] = [(loss, False)]
@@ -287,6 +321,10 @@ class Sgd:
 
     Update per parameter: g = grad + weight_decay * param;
     v = momentum * v + g; param -= lr * v.
+
+    `step` refuses a NaN or Inf grad before it moves anything, and checks
+    every value after the update; either failure names the parameter by
+    its position in the list and its shape.
 
     The optimizer owns three contiguous buffers (values, grads, velocity).
     On construction every parameter's `value` and `grad`, and each entry of
@@ -329,6 +367,7 @@ class Sgd:
         self._velocity = np.zeros(size)
         self._scratch = np.empty((2, min(size, _CHUNK)))
         self.velocity = []
+        self._stops = []
         start = 0
         for p in self.params:
             shape, stop = p.value.shape, start + p.value.size
@@ -337,8 +376,16 @@ class Sgd:
             p.value = self._values[start:stop].reshape(shape)
             p.grad = self._grads[start:stop].reshape(shape)
             self.velocity.append(self._velocity[start:stop].reshape(shape))
+            self._stops.append(stop)
             start = stop
         self._views = [(p.value, p.grad) for p in self.params]
+
+    def _first_non_finite(self, flat: Matrix, offset: int = 0) -> str:
+        """Names the parameter holding the first NaN or Inf of `flat`, a
+        slice of a buffer starting at entry `offset`."""
+        at = offset + int(np.argmin(np.isfinite(flat)))
+        i = int(np.searchsorted(self._stops, at, side="right"))
+        return f"parameter {i} (shape {self.params[i].value.shape})"
 
     def zero_grad(self) -> None:
         self._grads.fill(0.0)
@@ -349,7 +396,7 @@ class Sgd:
                 raise GraphError(f"parameter {i} (shape {value.shape}) had its value or grad "
                                  "rebound after the optimizer was built; write into it in place")
         if not np.isfinite(self._grads).all():
-            raise NumericError("sgd step aborted: non-finite gradient")
+            raise NumericError(f"sgd step aborted: non-finite gradient of {self._first_non_finite(self._grads)}")
         scale = 1.0
         if self.clip_norm is not None:
             total = np.sqrt(sum(float((g * g).sum()) for _, g in self._views))
@@ -372,3 +419,7 @@ class Sgd:
             v += buf
             np.multiply(v, self.lr, out=buf)
             value -= buf
+            # checked while the slice is still in cache
+            if not np.isfinite(value).all():
+                raise NumericError(f"sgd step: {self._first_non_finite(value, start)} "
+                                   "is not finite after the update")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Matrix, as_matrix, make_rng
+from .autodiff import Matrix, as_2d, as_matrix, make_rng
 from .errors import ConfigError, DataError, DimensionError
 
 # rng streams inside one dataset seed
@@ -169,6 +169,7 @@ def generate_synthetic(spec: SyntheticSpec):
 def _read_numeric_csv(path, what: str) -> Matrix:
     """Rows of floats -> n x d array. Header skipped when non-numeric."""
     rows = []
+    linenos = []
     width = None
     with open(path, newline="") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
@@ -185,9 +186,16 @@ def _read_numeric_csv(path, what: str) -> Matrix:
             elif len(values) != width:
                 raise DataError(f"{path}:{lineno}: ragged row, expected {width} columns, got {len(values)}")
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise DataError(f"{path}: no numeric {what} rows")
-    return np.array(rows)
+    table = np.array(rows)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataError(f"{path}:{linenos[row]}: non-finite {what} cell {float(table[row, col])!r} "
+                        f"in column {col + 1}")
+    return table
 
 
 def load_features(path) -> Matrix:
@@ -286,7 +294,9 @@ class Standardizer:
         return cls(mean, scale)
 
     def apply(self, x) -> Matrix:
-        x = as_matrix(x, "standardizer input")
+        """(x - mean) / scale per dimension; the entries are not inspected,
+        so a NaN or Inf passes through to the caller's check."""
+        x = as_2d(x, "standardizer input")
         if x.shape[0] != self.mean.shape[0]:
             raise DimensionError(f"standardizer fit on {self.mean.shape[0]} dims, got {x.shape[0]}")
         return (x - self.mean) / self.scale

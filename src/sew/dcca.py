@@ -113,4 +113,4 @@ def cca_correlation(m_ss: Node, m_sw: Node, k: int, r1: float, r2: float) -> Nod
             delta_ww = -0.5 * inv_w @ (vk * svals[:k]) @ vk.T @ inv_w
             m_sw.grad += g * (2.0 * delta_ww @ hw + delta_sw.T @ hs) / (p - 1)
 
-    return _result("cca_correlation", np.array([[rho]]), (m_ss, m_sw), backward)
+    return _result(np.array([[rho]]), (m_ss, m_sw), backward)

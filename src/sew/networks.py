@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Matrix, Node, as_matrix, make_rng, uniform_init
+from .autodiff import Matrix, Node, as_2d, make_rng, uniform_init
 from .data import Standardizer
-from .errors import ConfigError, DimensionError, ExportError
+from .errors import ConfigError, DimensionError, ExportError, NumericError
 
 # 2: the regressor's layers hold no recurrent or reset-gate weights. A
 # format-1 file's extra members are never read; they never moved an output.
@@ -269,13 +269,21 @@ class SewModel:
         return self.regressor.forward(self.w_encoder.forward(m_w))
 
     def predict(self, m_w) -> Matrix:
-        """Predict labels from raw (unstandardized) weaker-modality features."""
-        m_w = as_matrix(m_w, "m_w")
+        """Predict labels from raw (unstandardized) weaker-modality features.
+
+        Finiteness is checked once on the way in, on the standardized frame
+        the graph reads, and once on the way out: NumericError if either
+        holds NaN or Inf.
+        """
+        m_w = as_2d(m_w, "m_w")
         if m_w.shape[0] != self.d2:
             raise DimensionError(f"expected {self.d2}-d weaker features, got {m_w.shape[0]} rows")
         if self.scaler_weak is not None:
             m_w = self.scaler_weak.apply(m_w)
-        return self.deployment_forward(ad.constant(m_w, "m_w")).value.copy()
+        out = self.deployment_forward(ad.constant(m_w, "m_w")).value
+        if not np.isfinite(out).all():
+            raise NumericError("predict: the model output holds NaN or Inf")
+        return out.copy()
 
 
 def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:

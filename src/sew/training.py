@@ -253,10 +253,14 @@ def _restore(model: SewModel, snap: dict) -> None:
         p.zero_grad()
 
 
-def _dev_eval(model: SewModel, dev_std: Dataset, config: SewConfig) -> metrics.EvalResult:
+def _dev_eval(model: SewModel, dev_std: Dataset, config: SewConfig, epoch: int) -> metrics.EvalResult:
     # deployment path only: the stronger modality must never leak into
-    # model selection
-    preds = model.deployment_forward(ad.constant(dev_std.m_w, "dev m_w")).value
+    # model selection. The trained arrays serve as constants, so the pass
+    # builds no graph.
+    with ad.no_grad(p for _, p in model.named_parameters()):
+        preds = model.deployment_forward(ad.constant(dev_std.m_w, "dev m_w")).value
+    if not np.isfinite(preds).all():
+        raise NumericError(f"epoch {epoch}: dev predictions hold NaN or Inf")
     return metrics.evaluate(dev_std.labels, preds, config.sample_variance_ccc)
 
 
@@ -315,7 +319,7 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
             for key, value in comps.items():
                 sums[key] += value
                 counts[key] += 1
-        result = _dev_eval(model, dev_std, config)
+        result = _dev_eval(model, dev_std, config, epoch)
         report = EpochReport(
             epoch,
             *(sums[k] / counts[k] if counts[k] else None for k in ("e1", "e2", "e3")),

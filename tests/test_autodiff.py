@@ -1,4 +1,5 @@
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sew.autodiff import (
     make_rng,
     mean_center_rows,
     mse_loss,
+    no_grad,
     scalar_mul,
     sigmoid,
     sum_all,
@@ -293,10 +295,75 @@ def test_graph_freed_by_refcount():
 
 
 def test_overflow_raises_numeric_error():
+    # ops do not inspect values: the overflow surfaces at the loss
     big = Node(np.full((1, 1), 1e308))
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericError):
-            affine(big, big, Node(np.zeros((1, 1))))
+        out = affine(big, big, Node(np.zeros((1, 1))))
+        assert out.value[0, 0] == np.inf
+        with pytest.raises(NumericError, match="loss is not finite"):
+            backward(sum_all(out))
+    assert big.grad[0, 0] == 0.0  # no closure ran
+
+
+class TestFiniteBoundaries:
+    @pytest.mark.parametrize("fill", [np.inf, -np.inf, np.nan])
+    def test_backward_refuses_a_non_finite_loss_before_any_closure(self, fill):
+        x = Node(np.ones((2, 2)))
+        target = np.full((2, 2), fill)  # data are not inspected by mse_loss
+        loss = elementwise_add(mse_loss(x, target), sum_all(x))
+        with pytest.raises(NumericError, match="loss is not finite"):
+            backward(loss)
+        assert not x.grad.any() and not loss.grad.any()
+
+    def test_saturation_gives_the_exact_limit_and_a_zero_gradient(self):
+        x = Node(np.array([[1e308, -1e308]]))
+        with np.errstate(over="ignore"):
+            big = scalar_mul(x, 10.0)
+            assert np.isinf(big.value).all()
+            t, s = tanh(big), sigmoid(big)
+            loss = sum_all(elementwise_add(t, s))
+            backward(loss)
+        np.testing.assert_array_equal(t.value, [[1.0, -1.0]])
+        np.testing.assert_array_equal(s.value, [[1.0, 0.0]])
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
+
+    def test_nan_inside_the_graph_reaches_the_output(self):
+        x = Node(np.array([[1e308, 1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            inf = scalar_mul(x, 10.0)
+            out = sigmoid(tanh(elementwise_sub(inf, inf)))
+        assert np.isnan(out.value[0, 0]) and out.value[0, 1] == 0.5
+
+    @pytest.mark.parametrize("first", [(2, 2), (1, _CHUNK + 7)], ids=["one-chunk", "across-chunks"])
+    def test_update_that_overflows_names_the_parameter(self, first):
+        p, q, r = Node(np.ones(first)), Node(np.ones((3, 1))), Node(np.ones((1, 1)))
+        opt = Sgd([p, q, r], lr=10.0, momentum=0.5)
+        q.grad[2, 0] = 1e308  # finite, but lr * grad is not
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=r"parameter 1 \(shape \(3, 1\)\) is not finite after"):
+                opt.step()
+
+    def test_no_grad_lends_parameters_as_constants(self):
+        rng = make_rng(29)
+        w, b = Node(rng.standard_normal((2, 3))), Node(rng.standard_normal((2, 1)))
+        opt = Sgd([w, b], lr=0.1)
+        grads = w.grad, b.grad
+        x = constant(rng.standard_normal((3, 4)))
+        with no_grad([w, b]):
+            out = tanh(affine(w, x, b))
+            assert w.grad is None and b.grad is None
+        assert out.grad is None and out.parents == ()
+        assert (w.grad, b.grad) == grads and w.grad is grads[0] and b.grad is grads[1]
+        np.testing.assert_array_equal(out.value, np.tanh(w.value @ x.value + b.value))
+        opt.step()  # the grads are the optimizer's own views again
+
+    def test_no_grad_restores_on_error(self):
+        w = Node(np.ones((2, 2)))
+        grad = w.grad
+        with pytest.raises(DimensionError):
+            with no_grad([w]):
+                affine(w, constant(np.ones((3, 1))), constant(np.ones((2, 1))))
+        assert w.grad is grad
 
 
 class TestConstants:
@@ -506,7 +573,8 @@ class TestFlatSgd:
         opt.step()
         before = [p.value.copy() for p in params], [v.copy() for v in opt.velocity]
         params[-1].grad[-1, -1] = np.nan
-        with pytest.raises(NumericError):
+        last = f"parameter {len(params) - 1} (shape {params[-1].value.shape})"
+        with pytest.raises(NumericError, match=f"non-finite gradient of {re.escape(last)}"):
             opt.step()
         for p, v, pb, vb in zip(params, opt.velocity, *before):
             np.testing.assert_array_equal(p.value, pb)

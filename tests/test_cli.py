@@ -1,6 +1,7 @@
 """End-to-end command tests, run in-process against tiny datasets."""
 
 import hashlib
+import io
 import json
 import zipfile
 
@@ -339,3 +340,70 @@ class TestExportCommand:
     def test_missing_model_file(self, tmp_path, capsys):
         assert run("export", "--model", tmp_path / "absent.npz", "--out", tmp_path / "d.npz") == 1
         assert "i/o error" in capsys.readouterr().err
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+
+
+def _wrong_shape_member(path):
+    with zipfile.ZipFile(path) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.zeros((2, 2)), allow_pickle=False)
+    members["w_encoder.layers.0.weight.npy"] = buf.getvalue()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, payload in members.items():
+            zf.writestr(name, payload)
+
+
+def _replace_line(path, lineno, text):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _nan_cell(path):
+    cells = path.read_text().splitlines()[2].split(",")
+    cells[1] = "nan"
+    _replace_line(path, 3, ",".join(cells))
+
+
+def _ragged_row(path):
+    _replace_line(path, 5, path.read_text().splitlines()[4].rsplit(",", 1)[0])
+
+
+class TestBadInputs:
+    """Every bad input file ends as exit 1 and one `error:` line naming it."""
+
+    @staticmethod
+    def one_error_line(capsys, path, *fragments):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and str(path) in err, err
+        for fragment in fragments:
+            assert fragment in err, err
+
+    @pytest.mark.parametrize("damage, fragment", [
+        (_truncate, "not a zip archive"),
+        (_wrong_shape_member, "w_encoder.layers.0.weight has shape (2, 2)"),
+    ], ids=["truncated-zip", "wrong-shape-npy"])
+    def test_model_file(self, tmp_path, capsys, damage, fragment):
+        model = untrained_model(tmp_path)
+        damage(model)
+        assert run("export", "--model", model, "--out", tmp_path / "o.npz") == 1
+        self.one_error_line(capsys, model, fragment)
+        assert not (tmp_path / "o.npz").exists()
+
+    @pytest.mark.parametrize("name, damage, fragment", [
+        ("train_weak.csv", _nan_cell, ":3: non-finite feature cell nan in column 2"),
+        ("train_labels.csv", lambda p: p.write_text(""), "no numeric label rows"),
+        ("dev_strong.csv", _ragged_row, ":5: ragged row"),
+    ], ids=["nan-cell", "empty-csv", "ragged-csv"])
+    def test_dataset_csv(self, tmp_path, capsys, name, damage, fragment):
+        data = small_dataset(tmp_path)
+        capsys.readouterr()
+        damage(data / name)
+        assert run("train", "--data", data, "--out", tmp_path / "run",
+                   "--config", small_config(tmp_path)) == 1
+        self.one_error_line(capsys, data / name, fragment)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sew.autodiff import make_rng
 from sew.data import (
@@ -161,6 +163,13 @@ class TestCsv:
             load_features(path)
         assert ":2" in str(exc.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        path.write_text(f"a,b\n1.0,2.0\n\n3.0,{cell}\n")
+        with pytest.raises(DataError, match=r"f\.csv:4: non-finite feature cell .* in column 2"):
+            load_features(path)
+
     def test_labels_must_be_single_column(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text("0.1,0.2\n0.3,0.4\n")
@@ -233,6 +242,23 @@ class TestShift:
         labels = np.zeros((1, 50))
         with pytest.raises(DataError):
             shift_labels(labels, 2.4, 0.04)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 120), offset=st.integers(0, 150), rows=st.integers(1, 3),
+       step=st.sampled_from([0.01, 0.04, 0.1, 0.5]))
+def test_apply_shift_keeps_n_minus_offset_aligned_columns(n, offset, rows, step):
+    feats = np.arange(rows * n, dtype=float).reshape(rows, n)
+    labels = np.arange(n, dtype=float).reshape(1, n)
+    if offset >= n:
+        with pytest.raises(DataError):
+            apply_shift(feats, labels, offset * step, step)
+        return
+    out_f, out_l = apply_shift(feats, labels, offset * step, step)
+    assert out_f.shape == (rows, n - offset) and out_l.shape == (1, n - offset)
+    # feature frame t pairs with label frame t + offset
+    np.testing.assert_array_equal(out_f, feats[:, :n - offset])
+    np.testing.assert_array_equal(out_l, labels[:, offset:])
 
 
 class TestStandardizer:

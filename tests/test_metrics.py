@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sew.autodiff import make_rng
 from sew.errors import DataError
@@ -131,3 +133,16 @@ def test_ccc_returns_builtin_float():
     # repr() of the value lands in CSVs; numpy scalars would change the text
     assert type(ccc([1.0, 2.0], [2.0, 1.0])) is float
     assert type(binary_accuracy([1.0], [1.0])) is float
+
+
+_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 40), sample_variance=st.booleans())
+def test_ccc_is_bounded_and_symmetric(data, n, sample_variance):
+    x = data.draw(st.lists(_VALUES, min_size=n, max_size=n))
+    y = data.draw(st.lists(_VALUES, min_size=n, max_size=n))
+    value = ccc(x, y, sample_variance)
+    assert -1.0 <= value <= 1.0
+    assert value == ccc(y, x, sample_variance)

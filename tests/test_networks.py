@@ -6,11 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import fd_gradients, rel_errors
 from sew.autodiff import Node, Sgd, backward, constant, make_rng, sum_all, uniform_init
 from sew.data import Standardizer
-from sew.errors import ConfigError, DimensionError, ExportError
+from sew.errors import ConfigError, DimensionError, ExportError, NumericError
 from sew.networks import (
     ABLATIONS,
     GatedLayer,
@@ -261,6 +263,48 @@ class TestPredict:
         np.testing.assert_array_equal(
             model.predict(x), model.deployment_forward(Node(scaler.apply(x))).value)
         assert not np.array_equal(model.predict(x), raw)
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_rejects_a_non_finite_frame(self, fill):
+        model = assemble_sew(tiny_config("unimodal"), d1=4, d2=3, seed=0)
+        model.scaler_weak = Standardizer(np.zeros((3, 1)), np.ones((3, 1)))
+        frame = np.ones((3, 2))
+        frame[1, 1] = fill
+        with pytest.raises(NumericError, match="m_w contains NaN or Inf"):
+            model.predict(frame)
+
+    def test_nan_producing_frame_raises(self):
+        model = assemble_sew(tiny_config("unimodal"), d1=4, d2=3, seed=0)
+        w = model.w_encoder.layers[0].weight.value
+        w[0, :2] = np.inf, -np.inf
+        # a finite frame that meets both weights makes inf - inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="output holds NaN or Inf"):
+                model.predict(np.ones((3, 1)))
+
+    def test_saturated_overflow_serves_the_limit(self):
+        model = assemble_sew(tiny_config("unimodal"), d1=4, d2=3, seed=0)
+        w = model.w_encoder.layers[0].weight.value
+        w[0, 0] = 1e308
+        with np.errstate(over="ignore"):
+            latent = model.w_encoder.forward(constant(np.array([[10.0], [0.5], [0.5]]))).value
+            assert latent[0, 0] == np.inf
+            out = model.predict(np.array([[10.0], [0.5], [0.5]]))
+        assert np.isfinite(out).all()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), ablation=st.sampled_from(ABLATIONS), latent=st.integers(1, 3),
+       deployment=st.booleans(), frames=st.integers(1, 9))
+def test_save_load_round_trip_predicts_byte_equal(seed, ablation, latent, deployment, frames):
+    model = assemble_sew(tiny_config(ablation, latent), d1=4, d2=3, seed=seed)
+    rng = make_rng(seed, 84)
+    model.scaler_weak = Standardizer.fit(rng.standard_normal((3, 20)) * 3.0 + 1.0)
+    buf = io.BytesIO()
+    save_model(model, buf, deployment=deployment)
+    loaded = load_model(io.BytesIO(buf.getvalue()))
+    x = rng.standard_normal((3, frames)) * 5.0
+    assert loaded.predict(x).tobytes() == model.predict(x).tobytes()
 
 
 class TestSerialization:

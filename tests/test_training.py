@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from _oracles import fd_gradients, intermediate_refs, rel_errors
-from sew.autodiff import backward, make_rng
-from sew.data import Dataset, ModalityBatch
+from sew import training
+from sew.autodiff import Node, backward, make_rng
+from sew.data import Dataset, ModalityBatch, standardize_dataset
 from sew.errors import ConfigError, ExportError, NumericError
-from sew.networks import ABLATIONS, GruRegressorSpec, MlpSpec, assemble_sew, load_model
+from sew.metrics import evaluate
+from sew.networks import ABLATIONS, GruRegressorSpec, MlpSpec, SewModel, assemble_sew, load_model
 from sew.training import (
     ABLATION_LABELS,
     HISTORY_COLUMNS,
@@ -317,6 +319,62 @@ class TestTrain:
                 train(cfg, tiny_dataset(), tiny_dataset(seed=1))
         assert "epoch" in str(exc.value)
 
+    def test_inf_weight_behind_saturating_tanh_names_epoch_and_batch(self, monkeypatch):
+        # tanh maps the infinite pre-activation to exactly +-1, so the loss
+        # and every grad stay finite; the update then leaves the weight
+        # non-finite, and the step says which one
+        original = training.assemble_sew
+
+        def assemble_with_inf(*args):
+            model = original(*args)
+            model.w_encoder.layers[0].weight.value[0, 0] = np.inf
+            return model
+        monkeypatch.setattr(training, "assemble_sew", assemble_with_inf)
+        cfg = tiny_config(w_encoder=MlpSpec((5, 2)), epochs=1)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^epoch 0 batch 0: sgd step: parameter 0 \(shape \(5, 3\)\)") as exc:
+                train(cfg, tiny_dataset(), tiny_dataset(seed=1))
+        assert "components {" in str(exc.value)
+
+    def test_dev_eval_builds_no_graph_and_keeps_the_optimizer_views(self, monkeypatch):
+        seen = []
+        original = SewModel.deployment_forward
+
+        def recording(model, m_w):
+            out = original(model, m_w)
+            seen.append((out.parents, out.grad, [p.grad for _, p in model.named_parameters()]))
+            return out
+        monkeypatch.setattr(SewModel, "deployment_forward", recording)
+        _, history = train(tiny_config(epochs=3), tiny_dataset(), tiny_dataset(seed=1))
+        assert len(seen) == len(history) == 3
+        for parents, grad, param_grads in seen:
+            assert parents == () and grad is None
+            assert all(g is None for g in param_grads)
+
+    def test_dev_eval_matches_a_grad_carrying_forward(self):
+        cfg = tiny_config(epochs=2)
+        train_set, dev_set = tiny_dataset(), tiny_dataset(seed=1)
+        model, history = train(cfg, train_set, dev_set)
+        dev_std = standardize_dataset(train_set, dev_set)[1]
+        assert all(p.grad is not None for _, p in model.named_parameters())
+        preds = model.deployment_forward(Node(dev_std.m_w)).value
+        best = max(history, key=lambda r: r.dev_ccc)
+        assert best.dev_ccc == evaluate(dev_std.labels, preds).ccc
+
+    def test_non_finite_dev_prediction_names_the_epoch(self, monkeypatch):
+        original = SewModel.deployment_forward
+        calls = []
+
+        def nan_on_second_pass(model, m_w):
+            out = original(model, m_w)
+            calls.append(1)
+            if len(calls) == 2:
+                out.value[0, -1] = np.nan
+            return out
+        monkeypatch.setattr(SewModel, "deployment_forward", nan_on_second_pass)
+        with pytest.raises(NumericError, match="^epoch 1: dev predictions hold NaN or Inf"):
+            train(tiny_config(epochs=3), tiny_dataset(), tiny_dataset(seed=1))
+
     def test_early_stopping_cuts_history(self):
         full_cfg = tiny_config(epochs=40, patience=2, lr=1e-5)
         _, history = train(full_cfg, tiny_dataset(), tiny_dataset(seed=1))
@@ -327,8 +385,6 @@ class TestTrain:
         train_set, dev_set = tiny_dataset(), tiny_dataset(seed=1)
         model, history = train(cfg, train_set, dev_set)
         best = max(history, key=lambda r: r.dev_ccc)
-        from sew.metrics import evaluate
-
         res = evaluate(dev_set.labels, model.predict(dev_set.m_w))
         assert res.ccc == pytest.approx(best.dev_ccc, abs=1e-12)
 
