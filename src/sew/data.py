@@ -2,12 +2,23 @@
 ingestion, label time-shift alignment, standardization, and minibatching.
 
 All feature matrices are dims x samples; labels are 1 x samples in [-1, 1].
+
+Input CSVs are UTF-8 text, with or without a byte-order mark. Line 1 is a
+header, and skipped, when float() refuses one of its cells. Blank lines are
+skipped; there are no comment lines, so a `#` line is a non-numeric row.
+Cells are comma-separated numbers in ASCII digits, optionally quoted
+("1.5") and padded with whitespace; every row has the same width and every
+value is finite. numpy's loadtxt parses a file; only a file it refuses, or
+one holding a NaN or Inf, is walked again row by row, to name the first bad
+`path:line` and column.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,36 +177,70 @@ def generate_synthetic(spec: SyntheticSpec):
 
 # --- CSV ingestion ----------------------------------------------------------
 
+def _first_line_is_header(path) -> bool:
+    """Line 1 is a header when float() refuses one of its cells, as numpy's
+    tokenizer splits them."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        line = fh.readline()
+    if not line.strip("\r\n"):
+        return False
+    cells = np.loadtxt([line], dtype=object, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    try:
+        for cell in cells:
+            float(cell)
+    except ValueError:
+        return True
+    return False
+
+
 def _read_numeric_csv(path, what: str) -> Matrix:
-    """Rows of floats -> n x d array. Header skipped when non-numeric."""
-    rows = []
-    linenos = []
+    """Rows of floats -> n x d array, parsed by numpy's C reader."""
+    header = _first_line_is_header(path)
+    try:
+        with warnings.catch_warnings():
+            # an empty or header-only file warns and yields no rows; refused below
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                               encoding="utf-8-sig", skiprows=int(header))
+    except ValueError as err:
+        _raise_located(path, what, header, str(err))
+    if not table.size:
+        raise DataError(f"{path}: no numeric {what} rows")
+    if not np.isfinite(table).all():
+        _raise_located(path, what, header, "non-finite cell")
+    return table
+
+
+def _cell_value(cell: str) -> float:
+    """float() narrowed to what loadtxt reads: no '_' digit separators, ASCII only."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
+def _raise_located(path, what: str, header: bool, reason: str):
+    """Walk a file the fast reader refused, line by line, and raise a
+    DataError naming the first bad line (and column)."""
     width = None
-    with open(path, newline="") as fh:
-        for lineno, cells in enumerate(csv.reader(fh), start=1):
+    non_finite = None
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        if header:
+            fh.readline()
+        for lineno, cells in enumerate(csv.reader(fh), start=1 + header):
             if not cells:
                 continue
             try:
-                values = [float(c) for c in cells]
+                values = [_cell_value(c) for c in cells]
             except ValueError as err:
-                if lineno == 1 and width is None:
-                    continue
                 raise DataError(f"{path}:{lineno}: non-numeric {what} cell ({err})") from None
             if width is None:
                 width = len(values)
             elif len(values) != width:
                 raise DataError(f"{path}:{lineno}: ragged row, expected {width} columns, got {len(values)}")
-            rows.append(values)
-            linenos.append(lineno)
-    if not rows:
-        raise DataError(f"{path}: no numeric {what} rows")
-    table = np.array(rows)
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise DataError(f"{path}:{linenos[row]}: non-finite {what} cell {float(table[row, col])!r} "
-                        f"in column {col + 1}")
-    return table
+            bad = [col for col, v in enumerate(values) if not math.isfinite(v)]
+            if bad and non_finite is None:
+                non_finite = f"{path}:{lineno}: non-finite {what} cell {values[bad[0]]!r} in column {bad[0] + 1}"
+    raise DataError(non_finite or f"{path}: unreadable {what} CSV ({reason})")
 
 
 def load_features(path) -> Matrix:

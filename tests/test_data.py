@@ -1,8 +1,15 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from _oracles import row_by_row_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import sew.data
 from sew.autodiff import make_rng
 from sew.data import (
     Dataset,
@@ -198,6 +205,139 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_features(tmp_path / "absent.csv")
+
+
+def read_outcome(reader, path):
+    """(shape, bytes) of what `reader` returns, or the DataError message."""
+    try:
+        table = reader(path, "feature")
+    except DataError as err:
+        return str(err)
+    return table.shape, table.tobytes()
+
+
+# (file text, what the reader must say: an array shape or a message fragment)
+PARITY_CASES = {
+    "header": ("mfcc_0,mfcc_1\n1.0,2.0\n3.0,4.0\n", (2, 2)),
+    "blank-lines": ("1.0,2.0\n\n\n3.0,4.0\n\n", (2, 2)),
+    "blank-then-ragged": ("1.0,2.0\n\n\n3.0\n", "f.csv:4: ragged row, expected 2 columns, got 1"),
+    "blank-then-nan": ("a,b\n1.0,2.0\n\n3.0,nan\n", "f.csv:4: non-finite feature cell nan in column 2"),
+    "crlf": ("a,b\r\n1.0,2.0\r\n\r\n3.0,4.0\r\n", (2, 2)),
+    "crlf-ragged": ("1.0,2.0\r\n\r\n3.0\r\n", "f.csv:3: ragged row"),
+    "quoted": ('"1.0","2.0"\n3.0,"4.0"\n', (2, 2)),
+    "padded": (" 1.0 ,\t2.0\n3.0\t, 4.0 \n", (2, 2)),
+    "trailing-comma": ("a,b\n1.0,2.0,\n3.0,4.0,\n", "f.csv:2: non-numeric feature cell"),
+    "hash-line": ("1.0,2.0\n# note\n3.0,4.0\n", "f.csv:2: non-numeric feature cell"),
+    "whitespace-line": ("1.0,2.0\n  \t\n3.0,4.0\n", "f.csv:2: non-numeric feature cell"),
+    "header-only": ("a,b\n", "f.csv: no numeric feature rows"),
+    "empty": ("", "f.csv: no numeric feature rows"),
+    "non-numeric": ("1.0,2.0\n3.0,oops\n", "f.csv:2: non-numeric feature cell"),
+    "second-line-header": ("1.0,2.0\na,b\n", "f.csv:2: non-numeric feature cell"),
+    "inf-before-ragged": ("1.0,inf\n3.0\n", "f.csv:2: ragged row"),
+    "overflow": ("1.0,2.0\n-1e999,4.0\n", "f.csv:2: non-finite feature cell -inf in column 1"),
+    "one-row": ("1.0,2.0,3.0\n", (1, 3)),
+    "one-column": ("1.0\n2.0\n3.0", (3, 1)),
+}
+
+
+class TestReaderParity:
+    """The np.loadtxt reader against the row-by-row reader it replaced."""
+
+    @pytest.mark.parametrize("text, expected", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+    def test_same_result_as_row_by_row_reader(self, tmp_path, text, expected):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode())
+        got = read_outcome(sew.data._read_numeric_csv, path)
+        assert got == read_outcome(row_by_row_csv, path)
+        if isinstance(expected, tuple):
+            assert got[0] == expected
+        else:
+            assert expected in got
+
+    def test_published_widths_byte_equal(self, tmp_path):
+        train, dev, _ = generate_synthetic(small_spec(d1=632, d2=88, n_samples=100, n_dev=20))
+        for i, matrix in enumerate((train.m_s, train.m_w, train.labels, dev.m_s, dev.m_w, dev.labels)):
+            path = tmp_path / f"{i}.csv"
+            write_csv(path, matrix)
+            assert read_outcome(sew.data._read_numeric_csv, path) == read_outcome(row_by_row_csv, path)
+
+    def test_repr_round_trips_byte_equal(self, tmp_path):
+        tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+        edges = [0.0, -0.0, tiny, -tiny, big, -big, np.finfo(float).tiny, 1.0, -1.0]
+        bits = make_rng(5, 70).integers(0, 2**64, size=60_000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([edges, bits[np.isfinite(bits)]])[:40_001]
+        assert values.size == 40_001
+        path = tmp_path / "l.csv"
+        write_csv(path, values.reshape(1, -1))
+        assert load_labels(path).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("text", ["1_0,2.0\n3.0,4.0\n", "\u0661,2.0\n3.0,4.0\n"],
+                             ids=["underscore-digits", "arabic-indic-digit"])
+    def test_digits_float_takes_but_loadtxt_refuses_are_refused(self, tmp_path, text):
+        # float() reads "1_0" as 10.0 and "\u0661" as 1.0; numpy's parser
+        # reads ASCII digits only, and the reader follows it
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=r"f\.csv:1: non-numeric feature cell"):
+            load_features(path)
+
+    def test_good_file_never_walks_rows(self, tmp_path, monkeypatch):
+        def walk(*args):
+            raise AssertionError("row walk on a good file")
+        monkeypatch.setattr(sew.data, "_raise_located", walk)
+        path = tmp_path / "f.csv"
+        path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\n")
+        assert load_features(path).shape == (2, 2)
+
+    def test_refused_file_never_loads_through_the_row_walk(self, tmp_path, monkeypatch):
+        # a file numpy refuses but the row walk would take still fails
+        path = tmp_path / "f.csv"
+        loadtxt = np.loadtxt
+
+        def refuse(fname, *args, **kwargs):
+            if fname == path:
+                raise ValueError("refused")
+            return loadtxt(fname, *args, **kwargs)
+        monkeypatch.setattr(sew.data.np, "loadtxt", refuse)
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(DataError, match=r"f\.csv: unreadable feature CSV \(refused\)"):
+            load_features(path)
+
+    def test_bom_without_header_keeps_first_row(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("\ufeff1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_features(path), [[1.0, 3.0], [2.0, 4.0]])
+
+    def test_bom_with_header_skips_only_header(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("\ufeffarousal\n0.5\n-0.25\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_labels(path), [[0.5, -0.25]])
+
+    @pytest.mark.parametrize("text", ["", "a,b\n", "\n\n", "\ufeffa,b\r\n\r\n"],
+                             ids=["empty", "header-only", "blank-only", "bom-header-only"])
+    def test_no_rows_raises_without_warning(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"f\.csv: no numeric feature rows"):
+                load_features(path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 5))
+def test_csv_round_trip_byte_equal(data, d, n):
+    finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+    edge = st.sampled_from([0.0, -0.0, np.finfo(float).max, -np.finfo(float).max,
+                            np.finfo(float).smallest_subnormal, -np.finfo(float).smallest_subnormal])
+    matrix = data.draw(arrays(np.float64, (d, n), elements=finite | edge))
+    with tempfile.TemporaryDirectory() as tmp:
+        feats, labels = Path(tmp) / "f.csv", Path(tmp) / "l.csv"
+        write_csv(feats, matrix)
+        write_csv(labels, matrix[:1])
+        out = load_features(feats)
+        assert out.shape == (d, n) and out.tobytes() == matrix.tobytes()
+        assert load_labels(labels).tobytes() == matrix[:1].tobytes()
 
 
 class TestShift:
