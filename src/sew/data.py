@@ -10,7 +10,9 @@ Cells are comma-separated numbers in ASCII digits, optionally quoted
 ("1.5") and padded with whitespace; every row has the same width and every
 value is finite. numpy's loadtxt parses a file; only a file it refuses, or
 one holding a NaN or Inf, is walked again row by row, to name the first bad
-`path:line` and column.
+`path:line` and column. Lines are physical lines: a row whose quoted cell
+holds a newline is named by the line it ends on. A file that is not UTF-8
+is refused with the first line that does not decode.
 """
 
 from __future__ import annotations
@@ -180,8 +182,11 @@ def generate_synthetic(spec: SyntheticSpec):
 def _first_line_is_header(path) -> bool:
     """Line 1 is a header when float() refuses one of its cells, as numpy's
     tokenizer splits them."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        line = fh.readline()
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            line = fh.readline()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not line.strip("\r\n"):
         return False
     cells = np.loadtxt([line], dtype=object, delimiter=",", comments=None, quotechar='"', ndmin=1)
@@ -219,28 +224,45 @@ def _cell_value(cell: str) -> float:
 
 
 def _raise_located(path, what: str, header: bool, reason: str):
-    """Walk a file the fast reader refused, line by line, and raise a
-    DataError naming the first bad line (and column)."""
+    """Walk a file the fast reader refused, row by row, and raise a
+    DataError naming the first bad line (and column): the physical line on
+    which the row ends, so a quoted cell holding a newline counts as two."""
     width = None
     non_finite = None
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        if header:
-            fh.readline()
-        for lineno, cells in enumerate(csv.reader(fh), start=1 + header):
-            if not cells:
-                continue
-            try:
-                values = [_cell_value(c) for c in cells]
-            except ValueError as err:
-                raise DataError(f"{path}:{lineno}: non-numeric {what} cell ({err})") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise DataError(f"{path}:{lineno}: ragged row, expected {width} columns, got {len(values)}")
-            bad = [col for col, v in enumerate(values) if not math.isfinite(v)]
-            if bad and non_finite is None:
-                non_finite = f"{path}:{lineno}: non-finite {what} cell {values[bad[0]]!r} in column {bad[0] + 1}"
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            if header:
+                fh.readline()
+            reader = csv.reader(fh)
+            for cells in reader:
+                if not cells:
+                    continue
+                lineno = reader.line_num + header
+                try:
+                    values = [_cell_value(c) for c in cells]
+                except ValueError as err:
+                    raise DataError(f"{path}:{lineno}: non-numeric {what} cell ({err})") from None
+                if width is None:
+                    width = len(values)
+                elif len(values) != width:
+                    raise DataError(f"{path}:{lineno}: ragged row, expected {width} columns, got {len(values)}")
+                bad = [col for col, v in enumerate(values) if not math.isfinite(v)]
+                if bad and non_finite is None:
+                    non_finite = f"{path}:{lineno}: non-finite {what} cell {values[bad[0]]!r} in column {bad[0] + 1}"
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     raise DataError(non_finite or f"{path}: unreadable {what} CSV ({reason})")
+
+
+def _not_utf8(path) -> DataError:
+    """A DataError naming the first line of `path` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return DataError(f"{path}:{lineno}: not UTF-8 text (byte {raw[err.start]:#04x}: {err.reason})")
+    return DataError(f"{path}: not UTF-8 text")
 
 
 def load_features(path) -> Matrix:

@@ -46,7 +46,9 @@ def _ccc_parts(x, y, sample_variance: bool):
     if den == 0.0:
         # both constant with equal means; defined as 0 so eval loops survive
         return 0.0, True
-    return float(2.0 * cov / den), False
+    # |2 cov| <= den holds exactly (Cauchy-Schwarz), but rounding can carry
+    # a near-perfect agreement past 1 when one value dwarfs the rest
+    return min(1.0, max(-1.0, float(2.0 * cov / den))), False
 
 
 def ccc(x, y, sample_variance: bool = False) -> float:

@@ -105,14 +105,18 @@ def intermediate_refs(root, keep=()):
 def row_by_row_csv(path, what: str) -> np.ndarray:
     """The reader sew used before it parsed with np.loadtxt: csv.reader and
     float() per cell, line 1 skipped when non-numeric, nested lists. The
-    reference for the rules and the `path:line` messages of the fast one."""
+    reference for the rules and the `path:line` messages of the fast one.
+    Unlike that reader, `line` is the physical line a row ends on
+    (csv.reader's line_num), not the row's count."""
     rows = []
     linenos = []
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, cells in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for cells in reader:
             if not cells:
                 continue
+            lineno = reader.line_num
             try:
                 values = [float(c) for c in cells]
             except ValueError as err:

@@ -407,3 +407,9 @@ class TestBadInputs:
         assert run("train", "--data", data, "--out", tmp_path / "run",
                    "--config", small_config(tmp_path)) == 1
         self.one_error_line(capsys, data / name, fragment)
+
+    def test_csv_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1.0,2.0\n3.0,\xff4.0\n")
+        assert run("eval", "--truth", path, "--pred", path) == 1
+        self.one_error_line(capsys, path, ":2: not UTF-8 text (byte 0xff")

@@ -237,6 +237,9 @@ PARITY_CASES = {
     "overflow": ("1.0,2.0\n-1e999,4.0\n", "f.csv:2: non-finite feature cell -inf in column 1"),
     "one-row": ("1.0,2.0,3.0\n", (1, 3)),
     "one-column": ("1.0\n2.0\n3.0", (3, 1)),
+    # a quoted cell holding a newline: lines are physical, not rows
+    "quoted-newline-ragged": ('1,2\n"3\n",4\n5\n', "f.csv:4: ragged row, expected 2 columns, got 1"),
+    "quoted-newline-nan": ('a,b\n1,2\n"3\n",4\n5,nan\n', "f.csv:5: non-finite feature cell nan in column 2"),
 }
 
 
@@ -301,6 +304,17 @@ class TestReaderParity:
         monkeypatch.setattr(sew.data.np, "loadtxt", refuse)
         path.write_text("1.0,2.0\n3.0,4.0\n")
         with pytest.raises(DataError, match=r"f\.csv: unreadable feature CSV \(refused\)"):
+            load_features(path)
+
+    @pytest.mark.parametrize("raw, line", [
+        (b"\xfe1.0,2.0\n3.0,4.0\n", 1),
+        (b"1.0,2.0\n3.0,\xff4.0\n", 2),
+        (b"1.0,2.0\n" * 5000 + b"3.0,\xe2\n", 5001),  # past the first decoded chunk
+    ], ids=["line-1", "line-2", "line-5001"])
+    def test_not_utf8_names_the_line(self, tmp_path, raw, line):
+        path = tmp_path / "f.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=rf"f\.csv:{line}: not UTF-8 text \(byte 0x"):
             load_features(path)
 
     def test_bom_without_header_keeps_first_row(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import classical_cca_oracle, fd_gradients, rel_errors
 from sew.autodiff import Node, backward, make_rng
-from sew.dcca import cca_correlation, matrix_inv_sqrt
+from sew.dcca import cca_correlation
 from sew.errors import ConditioningError, ConfigError, DataError, DimensionError
 
 
@@ -22,37 +22,6 @@ def test_covariance_validation():
         rho_of(np.zeros((2, 1)), np.zeros((2, 1)), 1)
     with pytest.raises(ConfigError):
         rho_of(np.zeros((2, 5)), np.zeros((2, 5)), 1, -0.1, 0.0)
-
-
-def test_inv_sqrt_identity():
-    np.testing.assert_allclose(matrix_inv_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-
-
-def test_inv_sqrt_diagonal():
-    out = matrix_inv_sqrt(np.diag([4.0, 9.0]))
-    np.testing.assert_allclose(out, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
-
-
-def test_inv_sqrt_self_consistent():
-    rng = make_rng(1, 50)
-    m = rng.standard_normal((5, 5))
-    a = m @ m.T + 5.0 * np.eye(5)
-    s = matrix_inv_sqrt(a)
-    np.testing.assert_allclose(s @ a @ s, np.eye(5), atol=1e-10)
-    np.testing.assert_allclose(s, s.T, atol=1e-12)
-
-
-def test_inv_sqrt_rejects_asymmetric():
-    with pytest.raises(ConditioningError):
-        matrix_inv_sqrt([[1.0, 0.5], [0.0, 1.0]])
-
-
-def test_inv_sqrt_rejects_non_pd():
-    with pytest.raises(ConditioningError) as exc:
-        matrix_inv_sqrt([[1.0, 0.0], [0.0, -2.0]])
-    assert "eigenvalue" in str(exc.value)
-    with pytest.raises(DimensionError):
-        matrix_inv_sqrt(np.zeros((2, 3)))
 
 
 def test_identical_views_saturate():
@@ -183,6 +152,98 @@ def test_rank_deficient_needs_ridge():
     # same data passes once regularized
     rho = cca_correlation(Node(x), Node(x.copy()), k=1, r1=1e-3, r2=1e-3)
     assert np.isfinite(rho.value[0, 0])
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+def test_square_views_without_ridge_always_raise(d):
+    """d = p centred samples span d - 1 dimensions, so sigma is singular at
+    r = 0 whatever the rounding of its smallest eigenvalue."""
+    x, y = make_rng(d, 55).standard_normal((2, d, d))
+    for r1, r2 in ((0.0, 1e-4), (1e-4, 0.0), (0.0, 0.0)):
+        with pytest.raises(ConditioningError) as exc:
+            rho_of(x, y, 1, r1, r2)
+        assert "r1" in str(exc.value) and "r2" in str(exc.value)
+    assert np.isfinite(rho_of(x, y, 1, 1e-4, 1e-4))
+
+
+def test_zero_covariance_without_ridge_raises():
+    """A constant view has sigma = 0: not positive definite at r = 0,
+    even with more samples than features."""
+    x = make_rng(12, 55).standard_normal((3, 20))
+    with pytest.raises(ConditioningError) as exc:
+        rho_of(np.ones((3, 20)), x, 1)
+    assert "smallest eigenvalue" in str(exc.value) and "r1" in str(exc.value)
+    assert np.isfinite(rho_of(np.ones((3, 20)), x, 1, 1e-4, 0.0))
+
+
+def rank_deficient_views(rng, d, p, scale):
+    """Two correlated d x p views with p <= d, at `scale`."""
+    z = rng.standard_normal((d, p))
+    return (scale * (z + 0.5 * rng.standard_normal((d, p))) for _ in range(2))
+
+
+def check_against_oracles(x, y, k, r, rows=None):
+    """The forward against the classical oracle at 1e-8 and the gradient of
+    the listed rows (all by default) against central differences at 1e-4."""
+    rows = np.arange(x.shape[0]) if rows is None else rows
+    xn, yn = Node(x), Node(y)
+    rho = cca_correlation(xn, yn, k, r, r)
+    assert abs(rho.value[0, 0] - classical_cca_oracle(x, y, k, r, r).sum()) < 1e-8
+    backward(rho)
+    # central differences over the chosen rows only: each view's other rows
+    # are held fixed in the rebuilt graph
+    xs, ys = Node(x[rows]), Node(y[rows])
+
+    def build():
+        xv, yv = x.copy(), y.copy()
+        xv[rows], yv[rows] = xs.value, ys.value
+        return cca_correlation(Node(xv), Node(yv), k, r, r)
+
+    fd = fd_gradients(build, [xs, ys], h=1e-5)
+    assert rel_errors(xn.grad[rows], fd[0]).max() < 1e-4
+    assert rel_errors(yn.grad[rows], fd[1]).max() < 1e-4
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(d=st.integers(3, 10), data=st.data())
+def test_rank_deficient_matches_oracles(d, data):
+    """Every pair_config trains with p <= d: the forward and the gradient
+    hold there too. Views are drawn at the ridge's scale: at unit scale the
+    top correlations sit at 1 and the gradient falls below what central
+    differences resolve. k stops at p - 1, the rank of a centred view: past
+    it the correlations are 0, where the oracle's square root of a
+    rounding-level eigenvalue reads up to 1e-8 (test_k_beyond_the_rank
+    covers those k)."""
+    p = data.draw(st.integers(2, d), label="p")
+    k = data.draw(st.integers(1, p - 1), label="k")
+    r = data.draw(st.sampled_from((1e-4, 1e-2, 0.5)), label="r")
+    rng = make_rng(data.draw(st.integers(0, 2**16), label="seed"), 56)
+    check_against_oracles(*rank_deficient_views(rng, d, p, np.sqrt(r)), k, r)
+
+
+def test_published_width_matches_oracles():
+    """Latent 128, batch 32, k = 10, r = 1e-4 as in every pair_config; central
+    differences on eight rows of each view (all 128 take about 20 s)."""
+    rng = make_rng(13, 56)
+    x, y = rank_deficient_views(rng, 128, 32, 1e-2)
+    check_against_oracles(x, y, 10, 1e-4, rows=np.sort(rng.choice(128, 8, replace=False)))
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_k_beyond_the_rank(caplog, k):
+    """With k >= p the components past the rank carry singular value 0: the
+    gradient stays finite, equals that of k = p, and the tie warning fires."""
+    x, y = rank_deficient_views(make_rng(14, 56), 12, 6, 1.0)
+    grads = []
+    for kk in (k, 6):
+        xn, yn = Node(x), Node(y)
+        with caplog.at_level(logging.WARNING, logger="sew.dcca"):
+            backward(cca_correlation(xn, yn, kk, 1e-4, 1e-4))
+        grads.append((xn.grad, yn.grad))
+    assert all(np.isfinite(g).all() for g in grads[0])
+    np.testing.assert_array_equal(grads[0][0], grads[1][0])
+    np.testing.assert_array_equal(grads[0][1], grads[1][1])
+    assert any("tied" in rec.message for rec in caplog.records)
 
 
 def test_tied_singular_values_warn(caplog):

@@ -146,3 +146,14 @@ def test_ccc_is_bounded_and_symmetric(data, n, sample_variance):
     value = ccc(x, y, sample_variance)
     assert -1.0 <= value <= 1.0
     assert value == ccc(y, x, sample_variance)
+
+
+@pytest.mark.parametrize("sample_variance", [False, True])
+def test_ccc_stays_bounded_when_rounding_overshoots(sample_variance):
+    # one value dwarfs the rest and the series differ in one small value:
+    # 2 cov / den rounds to 1 + 2 ulp without the clamp
+    x = np.zeros(25)
+    x[[1, 5, 21, 24]] = 565428.0, 1.0, 2.0, 0.015625
+    y = x.copy()
+    y[24] = 0.0078125
+    assert ccc(x, y, sample_variance) == 1.0
