@@ -183,19 +183,6 @@ def elementwise_add(a: Node, b: Node) -> Node:
     return _result(a.value + b.value, (a, b), backward)
 
 
-def elementwise_sub(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"sub: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-    def backward(grad):
-        if a.grad is not None:
-            a.grad += grad
-        if b.grad is not None:
-            b.grad -= grad
-
-    return _result(a.value - b.value, (a, b), backward)
-
-
 def elementwise_mul(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
@@ -245,15 +232,6 @@ def sigmoid(x: Node) -> Node:
         x.grad += grad * value * (1.0 - value)
 
     return _result(value, (x,), backward)
-
-
-def mean_center_rows(x: Node) -> Node:
-    """Subtract the per-row mean taken across columns (samples)."""
-
-    def backward(grad):
-        x.grad += grad - grad.mean(axis=1, keepdims=True)
-
-    return _result(x.value - x.value.mean(axis=1, keepdims=True), (x,), backward)
 
 
 def sum_all(x: Node) -> Node:
@@ -340,7 +318,6 @@ class Sgd:
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        clip_norm: float | None = None,
     ):
         if lr <= 0:
             raise ConfigError(f"lr must be > 0, got {lr}")
@@ -348,8 +325,6 @@ class Sgd:
             raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
         if weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
-        if clip_norm is not None and clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be > 0, got {clip_norm}")
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ConfigError("a parameter is listed more than once")
@@ -360,12 +335,11 @@ class Sgd:
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.clip_norm = clip_norm
         size = sum(p.value.size for p in self.params)
         self._values = np.empty(size)
         self._grads = np.empty(size)
         self._velocity = np.zeros(size)
-        self._scratch = np.empty((2, min(size, _CHUNK)))
+        self._scratch = np.empty(min(size, _CHUNK))
         self.velocity = []
         self._stops = []
         start = 0
@@ -397,24 +371,15 @@ class Sgd:
                                  "rebound after the optimizer was built; write into it in place")
         if not np.isfinite(self._grads).all():
             raise NumericError(f"sgd step aborted: non-finite gradient of {self._first_non_finite(self._grads)}")
-        scale = 1.0
-        if self.clip_norm is not None:
-            total = np.sqrt(sum(float((g * g).sum()) for _, g in self._views))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-        # g = scale * grad + wd * value, summed in the other order (IEEE
-        # addition commutes exactly), so every entry matches the formula above
+        # g = grad + wd * value, summed in the other order (IEEE addition
+        # commutes exactly), so every entry matches the formula above
         for start in range(0, self._values.size, _CHUNK):
             value = self._values[start:start + _CHUNK]
             grad = self._grads[start:start + _CHUNK]
             v = self._velocity[start:start + _CHUNK]
-            buf, scaled = self._scratch[:, :value.size]
+            buf = self._scratch[:value.size]
             np.multiply(value, self.weight_decay, out=buf)
-            if scale == 1.0:
-                buf += grad
-            else:
-                np.multiply(grad, scale, out=scaled)
-                buf += scaled
+            buf += grad
             v *= self.momentum
             v += buf
             np.multiply(v, self.lr, out=buf)

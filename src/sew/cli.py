@@ -34,10 +34,11 @@ from .data import (
 )
 from .errors import ConfigError, DataError, SewError
 from .metrics import evaluate
-from .networks import load_model, save_model
+from .networks import ABLATIONS, load_model, save_model
 from .presets import desk_config
 from .training import (
     _read_json_object,
+    check_json_fields,
     config_from_dict,
     export_deployment,
     format_ablation_table,
@@ -129,14 +130,12 @@ def cmd_gen_data(args) -> int:
     }
     flags = {k: v for k, v in flag_values.items() if v is not None}
     raw.update(flags)
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(SyntheticSpec)}
-    unknown = sorted(set(raw) - set(kinds))
-    if unknown:
-        raise ConfigError(f"unknown dataset key(s): {', '.join(unknown)}")
-    # flag values are typed by argparse, so a mistyped value comes from the file
-    for key, value in raw.items():
-        if type(value) is not kinds[key] and not (kinds[key] is float and type(value) is int):
-            raise ConfigError(f"{args.config}: dataset key {key!r} must be {kinds[key].__name__}, got {value!r}")
+    # flag values are typed by argparse, so an unknown key or a mistyped
+    # value comes from the file
+    try:
+        check_json_fields(SyntheticSpec, raw, "dataset")
+    except ConfigError as err:
+        raise ConfigError(f"{args.config}: {err}") from None
     try:
         spec = SyntheticSpec(**raw)
     except ConfigError as err:
@@ -287,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults: desk-scale synthetic config)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if name == "train":
-            p.add_argument("--ablation", default=None, help="variant to train (default from config)")
+            p.add_argument("--ablation", default=None, choices=ABLATIONS,
+                           help="variant to train (default from config)")
         if "plot" in extra:
             p.add_argument("--plot-data", action="store_true",
                            help="also write gnuplot-ready .dat files")

@@ -53,10 +53,6 @@ class ModalityBatch:
         if np.abs(self.labels).max(initial=0.0) > 1.0 + LABEL_TOL:
             raise DataError(f"labels must lie in [-1, 1], found {self.labels[np.abs(self.labels) > 1 + LABEL_TOL].flat[0]}")
 
-    @property
-    def width(self) -> int:
-        return self.m_s.shape[1]
-
 
 class Dataset:
     """A full split with the same alignment guarantees as a batch."""
@@ -124,6 +120,8 @@ class SyntheticSpec:
             raise ConfigError(f"n_samples must be >= 100, got {self.n_samples}")
         if self.n_dev < 1:
             raise ConfigError(f"n_dev must be >= 1, got {self.n_dev}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _mixing_stack(rng, in_dim: int, out_dim: int, depth: int):

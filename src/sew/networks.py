@@ -97,8 +97,11 @@ class GruRegressorSpec:
     def __post_init__(self):
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.hidden < 1 or self.output < 1:
-            raise ConfigError(f"hidden and output widths must be >= 1, got {self.hidden}, {self.output}")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
+        # the field is kept so that model files keep their bytes
+        if self.output != 1:
+            raise ConfigError(f"regressor.output must be 1 (one label row), got {self.output}")
 
 
 def _param(rows: int, cols: int, fan_in: int, rng) -> Node:
@@ -111,8 +114,6 @@ class Linear:
     """y = W x + b. Weight uniform in +-1/sqrt(in_dim), bias zero."""
 
     def __init__(self, in_dim: int, out_dim: int, rng):
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
         self.weight = _param(out_dim, in_dim, in_dim, rng)
         self.bias = Node(np.zeros((out_dim, 1)))
 
@@ -162,7 +163,6 @@ class GatedLayer:
     """
 
     def __init__(self, in_dim: int, hidden: int, rng):
-        self.in_dim = int(in_dim)
         # the draw order of a full GRU cell (W_z, U_z, W_r, U_r, W_h, U_h)
         # is part of the determinism contract: the dropped weights are
         # still drawn, so every weight drawn after them starts unchanged
@@ -176,8 +176,6 @@ class GatedLayer:
         self.b_h = Node(np.zeros((hidden, 1)))
 
     def forward(self, x: Node) -> Node:
-        if x.shape[0] != self.in_dim:
-            raise DimensionError(f"gated layer expects {self.in_dim}-d input, got {x.shape}")
         z = ad.sigmoid(ad.affine(self.w_z, x, self.b_z))
         cand = ad.tanh(ad.affine(self.w_h, x, self.b_h))
         return ad.elementwise_mul(z, cand)
@@ -436,6 +434,13 @@ def load_model(path) -> SewModel:
             raise ExportError(f"{path}: meta.json lacks required key {err.args[0]!r}") from None
         except (TypeError, ValueError, ConfigError) as err:
             raise ExportError(f"{path}: meta.json is malformed ({err})") from None
+        # the widths predict chains: d2 -> W_E -> R
+        w_in, w_out, r_in = model.w_encoder.input_dim, model.w_encoder.output_dim, model.regressor.input_dim
+        if w_in != model.d2:
+            raise ExportError(f"{path}: meta.json d2 is {model.d2}, but blocks.w_encoder.input_dim is {w_in}")
+        if r_in != w_out:
+            raise ExportError(f"{path}: meta.json blocks.regressor.input_dim is {r_in}, "
+                              f"but blocks.w_encoder ends at {w_out}")
         for pname, param in model.named_parameters():
             stored = _read_npy(zf, path, pname + ".npy")
             if stored.shape != param.value.shape:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +95,8 @@ class SewConfig:
             raise ConfigError(f"frame_step_seconds must be > 0, got {self.frame_step_seconds}")
         if self.shift_seconds < 0:
             raise ConfigError(f"shift_seconds must be >= 0, got {self.shift_seconds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         wanted = blocks_for_ablation(self.ablation)
         # the width each built MLP must end at
         ends = {"w_encoder": "latent_dim", "s_encoder": "latent_dim", "s_decoder1": "d1", "s_decoder2": "d1"}
@@ -120,30 +124,20 @@ class SewConfig:
             fh.write("\n")
 
 
-_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SewConfig))
-
-
 def config_from_dict(raw: dict, overrides: dict | None = None) -> SewConfig:
-    """Build a config from parsed JSON; unknown or malformed keys are
-    reported by name."""
+    """Build a config from parsed JSON, checked by `check_json_fields`;
+    `overrides` replace keys of `raw`, except where they are None."""
     merged = dict(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = sorted(set(merged) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = {}
+    check_json_fields(SewConfig, merged, "config")
     for key, value in merged.items():
-        try:
-            if key in ("w_encoder", "s_decoder1", "s_encoder", "s_decoder2") and value is not None:
-                value = MlpSpec(tuple(value))
-            elif key == "regressor" and value is not None:
-                value = GruRegressorSpec(**value)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"config key {key!r} is malformed: {err}") from None
-        kwargs[key] = value
+        if isinstance(value, list):
+            merged[key] = MlpSpec(tuple(value))
+        elif isinstance(value, dict):
+            merged[key] = GruRegressorSpec(**value)
     try:
-        return SewConfig(**kwargs)
+        return SewConfig(**merged)
     except TypeError as err:
         raise ConfigError(f"config is incomplete: {err}") from None
 
@@ -161,8 +155,45 @@ def _read_json_object(path, error=ConfigError) -> dict:
     return raw
 
 
+# field type -> (whether a parsed JSON value fits it, its name in messages)
+_JSON_KINDS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    str: (lambda v: type(v) is str, "a string"),
+    type(None): (lambda v: v is None, "null"),
+    MlpSpec: (lambda v: type(v) is list and all(type(s) is int for s in v), "a list of integers"),
+    GruRegressorSpec: (lambda v: type(v) is dict, "an object"),
+}
+
+
+def check_json_fields(cls, raw: dict, what: str) -> None:
+    """Raise ConfigError, naming `what` and the key, unless every key of
+    `raw` is a field of the dataclass `cls` whose type (`_JSON_KINDS`, or
+    null if optional) fits its parsed-JSON value; nested objects likewise."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    for key, value in raw.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if not any(_JSON_KINDS[kind][0](value) for kind in kinds):
+            wanted = " or ".join(_JSON_KINDS[kind][1] for kind in kinds)
+            raise ConfigError(f"{what} key {key!r} must be {wanted}, got {json.dumps(value)}")
+        if type(value) is dict:
+            check_json_fields(GruRegressorSpec, value, key)
+
+
 def load_config(path, overrides: dict | None = None) -> SewConfig:
-    return config_from_dict(_read_json_object(path), overrides)
+    """The config stored at `path`, with `overrides` applied as in
+    `config_from_dict`. An error the file's own values cause names the
+    file; one that only the overrides cause does not."""
+    raw = _read_json_object(path)
+    try:
+        config_from_dict(raw)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
+    return config_from_dict(raw, overrides)
 
 
 def active_terms(config: SewConfig) -> frozenset[str]:

@@ -346,15 +346,30 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
 
 
-def _wrong_shape_member(path):
+def _rewrite_member(path, name, rewrite):
+    """Replace member `name` of a model file by rewrite(its bytes)."""
     with zipfile.ZipFile(path) as zf:
         members = {n: zf.read(n) for n in zf.namelist()}
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.zeros((2, 2)), allow_pickle=False)
-    members["w_encoder.layers.0.weight.npy"] = buf.getvalue()
+    members[name] = rewrite(members[name])
     with zipfile.ZipFile(path, "w") as zf:
         for name, payload in members.items():
             zf.writestr(name, payload)
+
+
+def _wrong_shape_member(path):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.zeros((2, 2)), allow_pickle=False)
+    _rewrite_member(path, "w_encoder.layers.0.weight.npy", lambda _: buf.getvalue())
+
+
+def _edit_meta(edit):
+    """A damage that applies edit(meta) to a model file's meta.json."""
+    def rewrite(payload):
+        meta = json.loads(payload)
+        edit(meta)
+        return json.dumps(meta).encode()
+
+    return lambda path: _rewrite_member(path, "meta.json", rewrite)
 
 
 def _replace_line(path, lineno, text):
@@ -387,7 +402,11 @@ class TestBadInputs:
     @pytest.mark.parametrize("damage, fragment", [
         (_truncate, "not a zip archive"),
         (_wrong_shape_member, "w_encoder.layers.0.weight has shape (2, 2)"),
-    ], ids=["truncated-zip", "wrong-shape-npy"])
+        (_edit_meta(lambda m: m.update(d2=20)), "meta.json d2 is 20, but blocks.w_encoder.input_dim is 5"),
+        (_edit_meta(lambda m: m["blocks"]["regressor"].update(input_dim=4)),
+         "meta.json blocks.regressor.input_dim is 4, but blocks.w_encoder ends at 3"),
+        (_edit_meta(lambda m: m["blocks"]["regressor"].update(output=2)), "regressor.output must be 1"),
+    ], ids=["truncated-zip", "wrong-shape-npy", "meta-d2", "meta-regressor-input", "meta-regressor-output"])
     def test_model_file(self, tmp_path, capsys, damage, fragment):
         model = untrained_model(tmp_path)
         damage(model)
@@ -407,6 +426,58 @@ class TestBadInputs:
         assert run("train", "--data", data, "--out", tmp_path / "run",
                    "--config", small_config(tmp_path)) == 1
         self.one_error_line(capsys, data / name, fragment)
+
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("epochs", 1.5, "config key 'epochs' must be an integer, got 1.5"),
+        ("batch_size", 32.5, "config key 'batch_size' must be an integer, got 32.5"),
+        ("k", 2.0, "config key 'k' must be an integer, got 2.0"),
+        ("seed", "x", "config key 'seed' must be an integer, got \"x\""),
+        ("regressor", {"num_layers": 2.5, "hidden": 4, "output": 1},
+         "regressor key 'num_layers' must be an integer, got 2.5"),
+        ("w_encoder", [16.7, 8], "config key 'w_encoder' must be a list of integers, got [16.7, 8]"),
+        ("sample_variance_ccc", "no", "config key 'sample_variance_ccc' must be true or false, got \"no\""),
+        ("lr", "0.1", "config key 'lr' must be a finite number, got \"0.1\""),
+        ("lr", float("nan"), "config key 'lr' must be a finite number, got NaN"),
+        ("foo", 1, "unknown config key(s): foo"),
+        ("k", 99, "k must be in [1, latent_dim=3], got 99"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("regressor", {"num_layers": 1, "hidden": 4, "output": 2}, "regressor.output must be 1"),
+        ("epochs", True, "config key 'epochs' must be an integer, got true"),
+        ("alpha", False, "config key 'alpha' must be a finite number, got false"),
+        ("cca_batch_size", 16.0, "config key 'cca_batch_size' must be an integer or null, got 16.0"),
+        ("s_decoder2", [6, True], "config key 's_decoder2' must be a list of integers or null, got [6, true]"),
+        ("regressor", [1, 4], "config key 'regressor' must be an object, got [1, 4]"),
+        ("regressor", {"layers": 1}, "unknown regressor key(s): layers"),
+        ("regressor", {"hidden": None}, "regressor key 'hidden' must be an integer, got null"),
+        ("ablation", 3, "config key 'ablation' must be a string, got 3"),
+    ], ids=["float-epochs", "float-batch", "float-k", "string-seed", "float-regressor-layers",
+            "float-width", "string-bool", "string-lr", "nan-lr", "unknown-key", "k-range", "negative-seed",
+            "regressor-output", "bool-as-int", "bool-as-float", "float-as-optional-int", "bool-in-widths",
+            "list-as-regressor", "unknown-regressor-key", "null-in-regressor", "int-as-string"])
+    def test_config_file(self, tmp_path, capsys, key, value, fragment):
+        cfg = small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        raw[key] = value
+        cfg.write_text(json.dumps(raw))
+        assert run("train", "--data", tmp_path / "unread", "--out", tmp_path / "run", "--config", cfg) == 1
+        self.one_error_line(capsys, cfg, fragment)
+
+    def test_flag_values_are_not_blamed_on_the_config_file(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        assert run("train", "--data", tmp_path / "unread", "--out", tmp_path / "run",
+                   "--config", cfg, "--seed", -1) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        with pytest.raises(SystemExit) as exc:
+            run("train", "--data", tmp_path / "unread", "--out", tmp_path / "run",
+                "--config", cfg, "--ablation", "bogus")
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "gen-data"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        data = ["--data", tmp_path / "unread"] if command == "train" else []
+        assert run(command, *data, "--out", tmp_path / "out", "--seed", -1) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_csv_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

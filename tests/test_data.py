@@ -53,7 +53,7 @@ class TestModalityBatch:
 
     def test_boundary_labels_pass(self):
         b = ModalityBatch(np.zeros((3, 2)), np.zeros((2, 2)), [[-1.0, 1.0]])
-        assert b.width == 2
+        assert b.labels.shape[1] == 2
 
 
 def test_dataset_dims():
@@ -92,6 +92,10 @@ class TestSyntheticSpec:
     def test_rejects_negative_depth(self):
         with pytest.raises(ConfigError):
             small_spec(nonlinearity=-1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            small_spec(seed=-1)
 
 
 class TestGenerateSynthetic:
@@ -454,7 +458,7 @@ class TestBatcher:
     def test_covers_dataset_in_two_batches(self):
         ds = self.make_dataset(64)
         batches = list(batcher(ds, 32, rng=make_rng(0)))
-        assert [b.width for b in batches] == [32, 32]
+        assert [b.labels.shape[1] for b in batches] == [32, 32]
 
     def test_no_shuffle_preserves_order(self):
         ds = self.make_dataset(10)
@@ -485,12 +489,12 @@ class TestBatcher:
     def test_trailing_singleton_dropped(self):
         ds = self.make_dataset(65)
         batches = list(batcher(ds, 32, rng=make_rng(0)))
-        assert [b.width for b in batches] == [32, 32]
+        assert [b.labels.shape[1] for b in batches] == [32, 32]
 
     def test_trailing_pair_kept(self):
         ds = self.make_dataset(34)
         batches = list(batcher(ds, 32, rng=make_rng(0)))
-        assert [b.width for b in batches] == [32, 2]
+        assert [b.labels.shape[1] for b in batches] == [32, 2]
 
     def test_batch_size_validation(self):
         ds = self.make_dataset(10)

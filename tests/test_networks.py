@@ -176,6 +176,9 @@ class TestGruRegressor:
             GruRegressorSpec(num_layers=0)
         with pytest.raises(ConfigError):
             GruRegressorSpec(hidden=0)
+        for output in (0, 2):
+            with pytest.raises(ConfigError, match=f"regressor.output must be 1 .*, got {output}"):
+                GruRegressorSpec(output=output)
 
     def test_gradients_vs_finite_differences(self):
         reg = GruRegressor(GruRegressorSpec(num_layers=2, hidden=3), input_dim=2, rng=make_rng(3, 82))

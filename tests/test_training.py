@@ -78,6 +78,8 @@ class TestConfig:
             tiny_config(patience=0)
         with pytest.raises(ConfigError):
             tiny_config(cca_batch_size=1)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            tiny_config(seed=-1)
 
     def test_variant_needs_its_specs(self):
         with pytest.raises(ConfigError) as exc:
@@ -112,6 +114,12 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             config_from_dict(raw)
         assert "w_encoder" in str(exc.value)
+
+    def test_json_types_that_fit(self):
+        raw = tiny_config().to_dict()
+        raw.update(alpha=1, cca_batch_size=None, s_decoder2=None, ablation="no_sd2",
+                   regressor={"hidden": 3, "num_layers": 1})
+        assert config_from_dict(raw) == tiny_config(alpha=1.0, s_decoder2=None, ablation="no_sd2")
 
     def test_incomplete_config(self):
         with pytest.raises(ConfigError) as exc:
