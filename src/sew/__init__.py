@@ -3,7 +3,7 @@ encoder with stronger-modality supervision (translation, autoencoding, and
 latent correlation alignment), deploy it uni-modally."""
 
 from .autodiff import Node, Sgd, backward, make_rng
-from .data import Dataset, ModalityBatch, Standardizer, SyntheticSpec, generate_synthetic
+from .data import Dataset, Standardizer, SyntheticSpec, generate_synthetic
 from .dcca import cca_correlation
 from .errors import (
     ConditioningError,

@@ -71,7 +71,10 @@ def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_sec
                             f"but {labels_f.name} has {labels.shape[1]}")
     meta_path = data_dir / "dataset.json"
     meta = _read_json_object(meta_path, DataError) if meta_path.exists() else {}
-    if meta.get("shift_pending") and shift_seconds > 0:
+    pending = meta.get("shift_pending", False)
+    if not isinstance(pending, bool):
+        raise DataError(f"{meta_path}: shift_pending must be true or false, got {json.dumps(pending)}")
+    if pending and shift_seconds > 0:
         strong, _ = apply_shift(strong, labels, shift_seconds, frame_step_seconds)
         weak, labels = apply_shift(weak, labels, shift_seconds, frame_step_seconds)
         log.info("%s/%s: applied %g s label shift, %d pairs", data_dir, split, shift_seconds, labels.shape[1])

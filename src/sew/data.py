@@ -36,8 +36,9 @@ _STREAM_DEV = 13
 LABEL_TOL = 1e-9
 
 
-class ModalityBatch:
-    """One aligned minibatch: stronger features, weaker features, labels."""
+class Dataset:
+    """Frame-aligned stronger features, weaker features and labels: a
+    whole split, or one minibatch of it."""
 
     __slots__ = ("m_s", "m_w", "labels")
 
@@ -52,16 +53,6 @@ class ModalityBatch:
             raise DimensionError(f"labels must be 1 x batch, got {self.labels.shape}")
         if np.abs(self.labels).max(initial=0.0) > 1.0 + LABEL_TOL:
             raise DataError(f"labels must lie in [-1, 1], found {self.labels[np.abs(self.labels) > 1 + LABEL_TOL].flat[0]}")
-
-
-class Dataset:
-    """A full split with the same alignment guarantees as a batch."""
-
-    def __init__(self, m_s, m_w, labels):
-        batch = ModalityBatch(m_s, m_w, labels)
-        self.m_s = batch.m_s
-        self.m_w = batch.m_w
-        self.labels = batch.labels
 
     @property
     def n(self) -> int:
@@ -82,6 +73,9 @@ class Dataset:
             h.update(str(arr.shape).encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
+
+
+ModalityBatch = Dataset  # kept because perfbench/workloads.py imports this name
 
 
 @dataclass(frozen=True)
@@ -286,18 +280,23 @@ def load_csv(features_path, labels_path):
     return feats, labels
 
 
-def write_csv(path, matrix, header=None) -> None:
+def write_csv(path, matrix) -> None:
     """One frame per row; repr() formatting for lossless deterministic files."""
     matrix = as_matrix(matrix, "csv matrix")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
         for col in matrix.T:
             writer.writerow([repr(float(v)) for v in col])
 
 
-def shift_offset(shift_seconds: float, frame_step_seconds: float) -> int:
+def apply_shift(features, labels, shift_seconds: float, frame_step_seconds: float):
+    """Pair feature frame t with label frame t + offset, where offset is the
+    shift in whole frames: returns (features, labels) with exactly
+    n - offset aligned columns."""
+    features = as_matrix(features, "features")
+    labels = as_matrix(labels, "labels")
+    if features.shape[1] != labels.shape[1]:
+        raise DataError(f"features have {features.shape[1]} frames, labels {labels.shape[1]}")
     if frame_step_seconds <= 0:
         raise ConfigError(f"frame step must be > 0, got {frame_step_seconds}")
     ratio = shift_seconds / frame_step_seconds
@@ -307,32 +306,10 @@ def shift_offset(shift_seconds: float, frame_step_seconds: float) -> int:
             f"shift {shift_seconds}s is not a whole number of {frame_step_seconds}s frames")
     if offset < 0:
         raise ConfigError(f"shift must be >= 0, got {shift_seconds}s")
-    return int(offset)
-
-
-def shift_labels(labels, shift_seconds: float, frame_step_seconds: float):
-    """Pair feature frame t with label frame t + offset.
-
-    Returns (shifted labels 1 x (n - offset), offset). The caller drops the
-    same number of trailing feature frames.
-    """
-    labels = as_matrix(labels, "labels")
-    offset = shift_offset(shift_seconds, frame_step_seconds)
-    if offset >= labels.shape[1]:
-        raise DataError(f"shift of {offset} frames leaves no pairs (only {labels.shape[1]} frames)")
-    return labels[:, offset:], offset
-
-
-def apply_shift(features, labels, shift_seconds: float, frame_step_seconds: float):
-    """Trim both sides of the pairing: returns (features, labels) with
-    exactly n - offset aligned columns."""
-    features = as_matrix(features, "features")
-    labels = as_matrix(labels, "labels")
-    if features.shape[1] != labels.shape[1]:
-        raise DataError(f"features have {features.shape[1]} frames, labels {labels.shape[1]}")
-    shifted, offset = shift_labels(labels, shift_seconds, frame_step_seconds)
-    n_pairs = features.shape[1] - offset
-    return features[:, :n_pairs], shifted
+    n = labels.shape[1]
+    if offset >= n:
+        raise DataError(f"shift of {offset} frames leaves no pairs (only {n} frames)")
+    return features[:, :n - offset], labels[:, offset:]
 
 
 # --- standardization and batching -------------------------------------------
@@ -350,7 +327,9 @@ class Standardizer:
 
     @classmethod
     def fit(cls, x) -> "Standardizer":
-        x = as_matrix(x, "standardizer input")
+        # C order: the row reductions sum in memory order, so a transposed
+        # CSV table and the same frames built in memory fit the same scaler
+        x = np.ascontiguousarray(as_matrix(x, "standardizer input"))
         if x.shape[1] < 2:
             raise DataError(f"need >= 2 samples to fit a standardizer, got {x.shape[1]}")
         mean = x.mean(axis=1, keepdims=True)
@@ -359,12 +338,12 @@ class Standardizer:
         return cls(mean, scale)
 
     def apply(self, x) -> Matrix:
-        """(x - mean) / scale per dimension; the entries are not inspected,
-        so a NaN or Inf passes through to the caller's check."""
+        """(x - mean) / scale per dimension, in C order; the entries are not
+        inspected, so a NaN or Inf passes through to the caller's check."""
         x = as_2d(x, "standardizer input")
         if x.shape[0] != self.mean.shape[0]:
             raise DimensionError(f"standardizer fit on {self.mean.shape[0]} dims, got {x.shape[0]}")
-        return (x - self.mean) / self.scale
+        return np.ascontiguousarray((x - self.mean) / self.scale)
 
 
 def standardize_dataset(train: Dataset, dev: Dataset):
@@ -377,7 +356,7 @@ def standardize_dataset(train: Dataset, dev: Dataset):
 
 
 def batcher(dataset: Dataset, batch_size: int, rng, shuffle: bool = True):
-    """Yield ModalityBatch covers of the dataset; a trailing batch smaller
+    """Yield minibatch Datasets covering the dataset; a trailing batch smaller
     than 2 is dropped (covariance needs at least 2 samples).
 
     Shuffling draws from the Generator `rng`, so successive epochs differ.
@@ -391,4 +370,4 @@ def batcher(dataset: Dataset, batch_size: int, rng, shuffle: bool = True):
         idx = order[start:start + batch_size]
         if idx.size < 2:
             break
-        yield ModalityBatch(dataset.m_s[:, idx], dataset.m_w[:, idx], dataset.labels[:, idx])
+        yield Dataset(dataset.m_s[:, idx], dataset.m_w[:, idx], dataset.labels[:, idx])

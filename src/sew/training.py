@@ -15,9 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Sgd, make_rng
-from .data import Dataset, ModalityBatch, batcher, standardize_dataset
+from .data import Dataset, batcher, standardize_dataset
 from .dcca import cca_correlation
-from .errors import ConditioningError, ConfigError, ExportError, NumericError
+from .errors import ConditioningError, ConfigError, NumericError
 from .networks import (
     _TERM_BLOCKS,
     _VARIANTS,
@@ -224,7 +224,7 @@ class EpochReport:
     dev_acc: float
 
 
-def sew_loss(model: SewModel, batch, config: SewConfig, cca_batch=None):
+def sew_loss(model: SewModel, batch: Dataset, config: SewConfig, cca_batch: Dataset | None = None):
     """Total weighted loss for one batch plus its component values, a dict
     keyed e1..e4 in which inactive terms are absent.
 
@@ -298,10 +298,10 @@ def _dev_eval(model: SewModel, dev_std: Dataset, config: SewConfig, epoch: int) 
 def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
     """Minibatch SGD over the composed loss; returns the best-dev-CCC model
     and the per-epoch history."""
-    if (train_set.d1, train_set.d2) != (config.d1, config.d2):
-        raise ConfigError(
-            f"config declares d1={config.d1}, d2={config.d2} but data has "
-            f"d1={train_set.d1}, d2={train_set.d2}")
+    for split, data in (("train", train_set), ("dev", dev_set)):
+        for name, want, have in (("d1", config.d1, data.d1), ("d2", config.d2, data.d2)):
+            if have != want:
+                raise ConfigError(f"config declares {name}={want} but the {split} split has {name}={have}")
     train_std, dev_std, scaler_s, scaler_w = standardize_dataset(train_set, dev_set)
     model = assemble_sew(config, config.d1, config.d2, config.seed)
     model.scaler_strong = scaler_s
@@ -329,8 +329,7 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
             cca_batch = None
             if pool_size is not None:
                 idx = pool_rng.choice(train_std.n, size=pool_size, replace=False)
-                cca_batch = ModalityBatch(
-                    train_std.m_s[:, idx], train_std.m_w[:, idx], train_std.labels[:, idx])
+                cca_batch = Dataset(train_std.m_s[:, idx], train_std.m_w[:, idx], train_std.labels[:, idx])
             try:
                 total, comps = sew_loss(model, batch, config, cca_batch)
             except ConditioningError as err:
@@ -441,6 +440,4 @@ def format_ablation_table(rows: list[AblationRow]) -> str:
 
 def export_deployment(model: SewModel, path) -> None:
     """Write the weak-encoder + regressor artifact used at test time."""
-    if model.w_encoder is None or model.regressor is None:
-        raise ExportError("model is missing the weak encoder or the regressor")
     save_model(model, path, deployment=True)

@@ -12,7 +12,7 @@ import pytest
 from _oracles import classical_cca_oracle, fd_gradients, rel_errors
 from sew import autodiff as ad
 from sew.autodiff import Node, backward, make_rng
-from sew.data import shift_labels
+from sew.data import Dataset, apply_shift
 from sew.dcca import cca_correlation
 from sew.errors import ConditioningError
 from sew.metrics import ccc, evaluate
@@ -69,9 +69,7 @@ def test_criterion_1_gradient_correctness():
         m_w = rng.standard_normal((3, 8))
         labels = rng.uniform(-1, 1, (1, 8))
 
-        from sew.data import ModalityBatch
-
-        batch = ModalityBatch(m_s, m_w, labels)
+        batch = Dataset(m_s, m_w, labels)
 
         def translation():
             return ad.mse_loss(model.s_decoder1.forward(model.w_encoder.forward(Node(m_w))), m_s)
@@ -244,11 +242,13 @@ def test_criterion_6_deployment_export_fidelity(tmp_path):
 def test_criterion_7_label_shift_arithmetic():
     started = time.monotonic()
     n = 100
-    labels = (np.arange(n, dtype=float) / n).reshape(1, n)
-    shifted, offset = shift_labels(labels, shift_seconds=2.4, frame_step_seconds=0.04)
+    frames = np.arange(n, dtype=float).reshape(1, n)
+    labels = frames / n
+    paired, shifted = apply_shift(frames, labels, shift_seconds=2.4, frame_step_seconds=0.04)
+    offset = n - shifted.shape[1]
     report(7, "2.4 s shift at 40 ms frames is 60 frames", offset == 60, f"offset {offset}")
     report(7, "pair count is n - 60", shifted.shape == (1, n - 60), f"shape {shifted.shape}")
-    aligned = all(shifted[0, t] == labels[0, t + 60] for t in range(n - 60))
+    aligned = all(paired[0, t] == t and shifted[0, t] == labels[0, t + 60] for t in range(n - 60))
     report(7, "feature frame t pairs with label frame t+60", aligned)
     budget(7, "label shift arithmetic", started, 1.0)
 

@@ -414,6 +414,19 @@ class TestBadInputs:
         self.one_error_line(capsys, model, fragment)
         assert not (tmp_path / "o.npz").exists()
 
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1], ids=["string-no", "string-false", "int-0", "int-1"])
+    def test_shift_pending_must_be_true_or_false(self, tmp_path, capsys, value):
+        data = small_dataset(tmp_path)
+        meta = json.loads((data / "dataset.json").read_text())
+        meta["shift_pending"] = value
+        (data / "dataset.json").write_text(json.dumps(meta))
+        model = untrained_model(tmp_path)
+        capsys.readouterr()
+        assert run("eval", "--model", model, "--data", data, "--split", "dev",
+                   "--shift-seconds", 0.4, "--frame-step-seconds", 0.04) == 1
+        self.one_error_line(capsys, data / "dataset.json",
+                            f"shift_pending must be true or false, got {json.dumps(value)}")
+
     @pytest.mark.parametrize("name, damage, fragment", [
         ("train_weak.csv", _nan_cell, ":3: non-finite feature cell nan in column 2"),
         ("train_labels.csv", lambda p: p.write_text(""), "no numeric label rows"),

@@ -13,7 +13,6 @@ import sew.data
 from sew.autodiff import make_rng
 from sew.data import (
     Dataset,
-    ModalityBatch,
     Standardizer,
     SyntheticSpec,
     apply_shift,
@@ -22,8 +21,6 @@ from sew.data import (
     load_csv,
     load_features,
     load_labels,
-    shift_labels,
-    shift_offset,
     standardize_dataset,
     write_csv,
 )
@@ -37,22 +34,24 @@ def small_spec(**kw):
 
 
 class TestModalityBatch:
+    """The checks a Dataset, a whole split or one minibatch, makes when built."""
+
     def test_widths_must_agree(self):
         with pytest.raises(DimensionError) as exc:
-            ModalityBatch(np.zeros((3, 4)), np.zeros((2, 5)), np.zeros((1, 4)))
+            Dataset(np.zeros((3, 4)), np.zeros((2, 5)), np.zeros((1, 4)))
         assert "width" in str(exc.value)
 
     def test_labels_must_be_single_row(self):
         with pytest.raises(DimensionError):
-            ModalityBatch(np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((2, 4)))
+            Dataset(np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((2, 4)))
 
     def test_labels_must_be_in_range(self):
         labels = np.array([[0.0, 1.5, 0.0, 0.0]])
         with pytest.raises(DataError):
-            ModalityBatch(np.zeros((3, 4)), np.zeros((2, 4)), labels)
+            Dataset(np.zeros((3, 4)), np.zeros((2, 4)), labels)
 
     def test_boundary_labels_pass(self):
-        b = ModalityBatch(np.zeros((3, 2)), np.zeros((2, 2)), [[-1.0, 1.0]])
+        b = Dataset(np.zeros((3, 2)), np.zeros((2, 2)), [[-1.0, 1.0]])
         assert b.labels.shape[1] == 2
 
 
@@ -358,6 +357,12 @@ def test_csv_round_trip_byte_equal(data, d, n):
         assert load_labels(labels).tobytes() == matrix[:1].tobytes()
 
 
+def shift_offset(shift_seconds, frame_step_seconds, n=100):
+    """The offset apply_shift takes, read as n minus the width it returns."""
+    _, labels = apply_shift(np.zeros((1, n)), np.zeros((1, n)), shift_seconds, frame_step_seconds)
+    return n - labels.shape[1]
+
+
 class TestShift:
     def test_offset_arithmetic(self):
         assert shift_offset(2.4, 0.04) == 60
@@ -376,16 +381,16 @@ class TestShift:
 
     def test_shift_pairs_feature_t_with_label_t_plus_offset(self):
         labels = np.arange(100, dtype=float).reshape(1, 100) / 100.0
-        shifted, offset = shift_labels(labels, 2.4, 0.04)
-        assert offset == 60
+        _, shifted = apply_shift(np.zeros((1, 100)), labels, 2.4, 0.04)
+        assert 100 - shifted.shape[1] == 60
         assert shifted.shape == (1, 40)
         # feature frame t now sits against label frame t + 60
         np.testing.assert_array_equal(shifted[0], labels[0, 60:])
 
     def test_zero_shift_is_identity(self):
         labels = np.linspace(-1, 1, 10).reshape(1, 10)
-        shifted, offset = shift_labels(labels, 0.0, 0.04)
-        assert offset == 0
+        _, shifted = apply_shift(np.zeros((1, 10)), labels, 0.0, 0.04)
+        assert 10 - shifted.shape[1] == 0
         np.testing.assert_array_equal(shifted, labels)
 
     def test_apply_shift_trims_features(self):
@@ -399,7 +404,7 @@ class TestShift:
     def test_shift_longer_than_sequence(self):
         labels = np.zeros((1, 50))
         with pytest.raises(DataError):
-            shift_labels(labels, 2.4, 0.04)
+            apply_shift(np.zeros((1, 50)), labels, 2.4, 0.04)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

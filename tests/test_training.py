@@ -8,7 +8,7 @@ import pytest
 from _oracles import fd_gradients, intermediate_refs, rel_errors
 from sew import training
 from sew.autodiff import Node, backward, make_rng
-from sew.data import Dataset, ModalityBatch, standardize_dataset
+from sew.data import Dataset, standardize_dataset
 from sew.errors import ConfigError, ExportError, NumericError
 from sew.metrics import evaluate
 from sew.networks import ABLATIONS, GruRegressorSpec, MlpSpec, SewModel, assemble_sew, load_model
@@ -50,7 +50,7 @@ def tiny_config(**kw):
 
 def tiny_batch(p=8, seed=0):
     rng = make_rng(seed, 90)
-    return ModalityBatch(
+    return Dataset(
         rng.standard_normal((4, p)),
         rng.standard_normal((3, p)),
         rng.uniform(-1, 1, (1, p)),
@@ -236,8 +236,9 @@ class TestTrain:
         cfg = tiny_config()
         data = tiny_dataset()
         bad = Dataset(data.m_s[:3], data.m_w, data.labels)
-        with pytest.raises(ConfigError):
-            train(cfg, bad, bad)
+        for split, sets in (("train", (bad, bad)), ("dev", (data, bad))):
+            with pytest.raises(ConfigError, match=f"config declares d1=4 but the {split} split has d1=3"):
+                train(cfg, *sets)
 
     def test_zero_epochs_returns_init(self):
         cfg = tiny_config(epochs=0)
@@ -253,6 +254,20 @@ class TestTrain:
         train_set, dev_set = tiny_dataset(), tiny_dataset(seed=1)
         model_a, hist_a = train(cfg, train_set, dev_set)
         model_b, hist_b = train(cfg, train_set, dev_set)
+        assert hist_a == hist_b
+        for (name, p), (_, q) in zip(model_a.named_parameters(), model_b.named_parameters()):
+            np.testing.assert_array_equal(p.value, q.value, err_msg=name)
+
+    def test_memory_layout_does_not_change_the_bits(self):
+        """A CSV load yields transposed, Fortran-ordered arrays; they train
+        to the same bits as the same frames in C order."""
+        def fortran(ds):
+            return Dataset(np.asfortranarray(ds.m_s), np.asfortranarray(ds.m_w), np.asfortranarray(ds.labels))
+
+        cfg = tiny_config(epochs=3)
+        train_set, dev_set = tiny_dataset(n=200), tiny_dataset(n=50, seed=1)
+        model_a, hist_a = train(cfg, train_set, dev_set)
+        model_b, hist_b = train(cfg, fortran(train_set), fortran(dev_set))
         assert hist_a == hist_b
         for (name, p), (_, q) in zip(model_a.named_parameters(), model_b.named_parameters()):
             np.testing.assert_array_equal(p.value, q.value, err_msg=name)
