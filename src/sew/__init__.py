@@ -17,7 +17,6 @@ from .errors import (
 )
 from .metrics import EvalResult, binary_accuracy, ccc, evaluate
 from .networks import (
-    ABLATIONS,
     GruRegressorSpec,
     MlpSpec,
     SewModel,
@@ -27,6 +26,7 @@ from .networks import (
 )
 from .presets import desk_config, desk_spec, pair_config
 from .training import (
+    ABLATIONS,
     EpochReport,
     SewConfig,
     export_deployment,

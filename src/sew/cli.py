@@ -34,12 +34,12 @@ from .data import (
 )
 from .errors import ConfigError, DataError, SewError
 from .metrics import evaluate
-from .networks import ABLATIONS, load_model, save_model
+from .networks import load_model, save_model
 from .presets import desk_config
 from .training import (
+    ABLATIONS,
     _read_json_object,
     check_json_fields,
-    config_from_dict,
     export_deployment,
     format_ablation_table,
     load_config,
@@ -74,18 +74,21 @@ def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_sec
     pending = meta.get("shift_pending", False)
     if not isinstance(pending, bool):
         raise DataError(f"{meta_path}: shift_pending must be true or false, got {json.dumps(pending)}")
-    if pending and shift_seconds > 0:
-        strong, _ = apply_shift(strong, labels, shift_seconds, frame_step_seconds)
-        weak, labels = apply_shift(weak, labels, shift_seconds, frame_step_seconds)
-        log.info("%s/%s: applied %g s label shift, %d pairs", data_dir, split, shift_seconds, labels.shape[1])
-    return Dataset(strong, weak, labels)
+    try:
+        if pending and shift_seconds > 0:
+            strong, _ = apply_shift(strong, labels, shift_seconds, frame_step_seconds)
+            weak, labels = apply_shift(weak, labels, shift_seconds, frame_step_seconds)
+            log.info("%s/%s: applied %g s label shift, %d pairs", data_dir, split, shift_seconds, labels.shape[1])
+        return Dataset(strong, weak, labels)
+    except DataError as err:
+        raise DataError(f"{data_dir} ({split} split): {labels_f.name}: {err}") from None
 
 
 def _resolve_config(args):
     overrides = {"seed": getattr(args, "seed", None), "ablation": getattr(args, "ablation", None)}
     if args.config:
         return load_config(args.config, overrides), str(args.config)
-    return config_from_dict(desk_config().to_dict(), overrides), None
+    return desk_config(**{k: v for k, v in overrides.items() if v is not None}), None
 
 
 def _dataset_fingerprint(train_set: Dataset, dev_set: Dataset) -> str:

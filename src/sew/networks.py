@@ -30,27 +30,6 @@ from .errors import ConfigError, DimensionError, ExportError, NumericError
 FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
 
-# variant -> (report label, loss terms it trains with); l4 (prediction) is
-# in every variant
-_VARIANTS = {
-    "full": ("full", ("l1", "l2", "l3", "l4")),
-    "no_sd2": ("-S_D2", ("l1", "l3", "l4")),
-    "no_cca": ("-CCA", ("l1", "l2", "l4")),
-    "no_sd1": ("-S_D1", ("l2", "l3", "l4")),
-    "no_cca_sd1": ("-(CCA&S_D1)", ("l2", "l4")),
-    "unimodal": ("unimodal", ("l4",)),
-}
-ABLATIONS = tuple(_VARIANTS)
-
-# blocks each loss term adds to a variant (l1 and l3 also run W_E, which
-# comes with l4)
-_TERM_BLOCKS = {
-    "l1": ("s_decoder1",),
-    "l2": ("s_encoder", "s_decoder2"),
-    "l3": ("s_encoder",),
-    "l4": ("w_encoder", "regressor"),
-}
-
 # fixed init streams so e.g. the weak encoder starts identically across
 # ablation variants built from the same seed
 _BLOCK_STREAMS = {
@@ -60,13 +39,6 @@ _BLOCK_STREAMS = {
     "s_decoder2": 4,
     "regressor": 5,
 }
-
-
-def blocks_for_ablation(ablation: str) -> frozenset[str]:
-    """Which blocks a variant builds: those its loss terms need."""
-    if ablation not in _VARIANTS:
-        raise ConfigError(f"unknown ablation {ablation!r}; expected one of {ABLATIONS}")
-    return frozenset(b for term in _VARIANTS[ablation][1] for b in _TERM_BLOCKS[term])
 
 
 @dataclass(frozen=True)
@@ -217,7 +189,7 @@ class GruRegressor:
 class SewModel:
     """The assembled transfer model.
 
-    Blocks an ablation variant does not use are None. Feature scalers are
+    Blocks the run does not train are None. Feature scalers are
     attached by the trainer; the weak-side scaler travels with deployment
     exports so predict() reproduces training-time evaluation exactly.
     """
@@ -285,27 +257,20 @@ class SewModel:
 
 
 def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
-    """Build the variant's blocks with one init stream per block.
+    """Build the blocks `config.blocks` names, with one init stream per block.
 
     config is a validated SewConfig (its widths are checked there, not
-    here): it supplies latent_dim, ablation, and the block specs
-    (w_encoder, s_decoder1, s_encoder, s_decoder2: MlpSpec; regressor:
-    GruRegressorSpec). Per-block streams keep shared blocks bit-identical
-    across variants.
+    here): it supplies latent_dim, ablation, the block set, and the block
+    specs (w_encoder, s_decoder1, s_encoder, s_decoder2: MlpSpec;
+    regressor: GruRegressorSpec). Per-block streams keep shared blocks
+    bit-identical across block sets.
     """
-    wanted = blocks_for_ablation(config.ablation)
     latent = int(config.latent_dim)
-
-    def rng_for(block):
-        return make_rng(seed, _BLOCK_STREAMS[block])
-
-    w_encoder = Mlp(config.w_encoder, d2, rng_for("w_encoder"))
-    regressor = GruRegressor(config.regressor, latent, rng_for("regressor"))
-    s_encoder = Mlp(config.s_encoder, d1, rng_for("s_encoder")) if "s_encoder" in wanted else None
-    s_decoder1 = Mlp(config.s_decoder1, latent, rng_for("s_decoder1")) if "s_decoder1" in wanted else None
-    s_decoder2 = Mlp(config.s_decoder2, latent, rng_for("s_decoder2")) if "s_decoder2" in wanted else None
-    return SewModel(latent, d1, d2, config.ablation, w_encoder, regressor,
-                    s_decoder1=s_decoder1, s_encoder=s_encoder, s_decoder2=s_decoder2)
+    in_dims = {"w_encoder": d2, "s_encoder": d1, "s_decoder1": latent, "s_decoder2": latent}
+    mlps = {name: Mlp(getattr(config, name), in_dims[name], make_rng(seed, _BLOCK_STREAMS[name]))
+            for name in config.blocks & in_dims.keys()}
+    regressor = GruRegressor(config.regressor, latent, make_rng(seed, _BLOCK_STREAMS["regressor"]))
+    return SewModel(latent, d1, d2, config.ablation, regressor=regressor, **mlps)
 
 
 # --- serialization ---------------------------------------------------------

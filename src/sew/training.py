@@ -17,26 +17,36 @@ from . import metrics
 from .autodiff import Sgd, make_rng
 from .data import Dataset, batcher, standardize_dataset
 from .dcca import cca_correlation
-from .errors import ConditioningError, ConfigError, NumericError
-from .networks import (
-    _TERM_BLOCKS,
-    _VARIANTS,
-    ABLATIONS,
-    GruRegressorSpec,
-    MlpSpec,
-    SewModel,
-    assemble_sew,
-    blocks_for_ablation,
-    save_model,
-)
+from .errors import ConditioningError, ConfigError, DataError, NumericError
+from .networks import GruRegressorSpec, MlpSpec, SewModel, assemble_sew, save_model
 
 log = logging.getLogger("sew.training")
 
 _STREAM_BATCHES = 21
 _STREAM_CCA_POOL = 22
 
+# variant -> (report label, loss terms it trains with); l4 (prediction) is
+# in every variant
+_VARIANTS = {
+    "full": ("full", ("l1", "l2", "l3", "l4")),
+    "no_sd2": ("-S_D2", ("l1", "l3", "l4")),
+    "no_cca": ("-CCA", ("l1", "l2", "l4")),
+    "no_sd1": ("-S_D1", ("l2", "l3", "l4")),
+    "no_cca_sd1": ("-(CCA&S_D1)", ("l2", "l4")),
+    "unimodal": ("unimodal", ("l4",)),
+}
+ABLATIONS = tuple(_VARIANTS)
+
 # CLI/report labels, one per variant, in canonical table order
 ABLATION_LABELS = {variant: label for variant, (label, _) in _VARIANTS.items()}
+
+# blocks each loss term trains (l1 and l3 also run W_E, which comes with l4)
+_TERM_BLOCKS = {
+    "l1": ("s_decoder1",),
+    "l2": ("s_encoder", "s_decoder2"),
+    "l3": ("s_encoder",),
+    "l4": ("w_encoder", "regressor"),
+}
 
 
 @dataclass(frozen=True)
@@ -97,15 +107,21 @@ class SewConfig:
             raise ConfigError(f"shift_seconds must be >= 0, got {self.shift_seconds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        wanted = blocks_for_ablation(self.ablation)
+        if self.ablation not in _VARIANTS:
+            raise ConfigError(f"unknown ablation {self.ablation!r}; expected one of {ABLATIONS}")
         # the width each built MLP must end at
         ends = {"w_encoder": "latent_dim", "s_encoder": "latent_dim", "s_decoder1": "d1", "s_decoder2": "d1"}
-        for name in sorted(wanted & ends.keys()):
+        for name in sorted(self.blocks & ends.keys()):
             spec, target = getattr(self, name), ends[name]
             if spec is None:
                 raise ConfigError(f"ablation {self.ablation!r} needs a spec for {name}")
             if spec.output_dim != getattr(self, target):
                 raise ConfigError(f"{name} ends at {spec.output_dim}, {target} is {getattr(self, target)}")
+
+    @property
+    def blocks(self) -> frozenset[str]:
+        """The blocks this run builds: those its active terms train."""
+        return frozenset(b for term in active_terms(self) for b in _TERM_BLOCKS[term])
 
     def to_dict(self) -> dict:
         out = {}
@@ -198,6 +214,7 @@ def load_config(path, overrides: dict | None = None) -> SewConfig:
 
 def active_terms(config: SewConfig) -> frozenset[str]:
     """Terms trained by this run: the variant's set minus zero-weight terms.
+    They alone decide which blocks the run builds (`SewConfig.blocks`).
 
     Skipping (rather than multiplying by zero) keeps the parameter
     trajectory of the surviving blocks bit-identical to the variant that
@@ -238,10 +255,10 @@ def sew_loss(model: SewModel, batch: Dataset, config: SewConfig, cca_batch: Data
     """
     terms = active_terms(config)
     # the caller's model may not be the one this config assembles
-    for term in sorted(terms):
-        for block in _TERM_BLOCKS[term]:
-            if getattr(model, block) is None:
-                raise ConfigError(f"loss term {term} is active but the model has no {block}")
+    missing = sorted(b for b in config.blocks if getattr(model, b) is None)
+    if missing:
+        term = min(t for t in terms if missing[0] in _TERM_BLOCKS[t])
+        raise ConfigError(f"loss term {term} is active but the model has no {missing[0]}")
 
     m_w = ad.constant(batch.m_w, "m_w")
     m_sw = model.w_encoder.forward(m_w)
@@ -302,6 +319,8 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
         for name, want, have in (("d1", config.d1, data.d1), ("d2", config.d2, data.d2)):
             if have != want:
                 raise ConfigError(f"config declares {name}={want} but the {split} split has {name}={have}")
+        if data.n < 2:
+            raise DataError(f"the {split} split has {data.n} frame(s); training needs at least 2")
     train_std, dev_std, scaler_s, scaler_w = standardize_dataset(train_set, dev_set)
     model = assemble_sew(config, config.d1, config.d2, config.seed)
     model.scaler_strong = scaler_s
@@ -352,8 +371,8 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
         result = _dev_eval(model, dev_std, config, epoch)
         report = EpochReport(
             epoch,
-            *(sums[k] / counts[k] if counts[k] else None for k in ("e1", "e2", "e3")),
-            sums["e4"] / counts["e4"] if counts["e4"] else float("nan"),
+            # every epoch has a batch, and every batch reports e4
+            *(sums[k] / counts[k] if counts[k] else None for k in ("e1", "e2", "e3", "e4")),
             result.ccc,
             result.binary_accuracy,
         )
@@ -399,11 +418,10 @@ class AblationRow:
     history: list[EpochReport] = field(repr=False, default_factory=list)
 
 
-def run_ablation_suite(config: SewConfig, train_set: Dataset, dev_set: Dataset,
-                       variants=ABLATIONS) -> list[AblationRow]:
+def run_ablation_suite(config: SewConfig, train_set: Dataset, dev_set: Dataset) -> list[AblationRow]:
     """Train every variant under the same seed and data; one table row each."""
     rows = []
-    for variant in variants:
+    for variant in ABLATIONS:
         vconf = dataclasses.replace(config, ablation=variant)
         model, history = train(vconf, train_set, dev_set)
         best = max(history, key=lambda r: r.dev_ccc) if history else None

@@ -192,6 +192,13 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dataset.json" in err
 
+    def test_one_frame_dev_split_refused_before_training(self, tmp_path, capsys):
+        data = small_dataset(tmp_path, n_dev=1)
+        capsys.readouterr()
+        assert run("train", "--data", data, "--out", tmp_path / "r", "--config", small_config(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: the dev split has 1 frame(s); training needs at least 2\n"
+        assert not (tmp_path / "r" / "metrics.csv").exists()
+
     @pytest.mark.parametrize("shift", [0.0, 0.4])
     def test_frame_count_mismatch_rejected(self, tmp_path, capsys, shift):
         """A weak file longer than its labels is an error, shift or no shift."""
@@ -439,6 +446,21 @@ class TestBadInputs:
         assert run("train", "--data", data, "--out", tmp_path / "run",
                    "--config", small_config(tmp_path)) == 1
         self.one_error_line(capsys, data / name, fragment)
+
+    @pytest.mark.parametrize("shift, damage, fragment", [
+        (0.0, lambda p: _replace_line(p, 3, "1.5"), "labels must lie in [-1, 1], found 1.5"),
+        (2.0, lambda p: None, "shift of 50 frames leaves no pairs (only 40 frames)"),
+    ], ids=["label-out-of-range", "shift-leaves-no-pairs"])
+    def test_split_assembly_names_the_split(self, tmp_path, capsys, shift, damage, fragment):
+        data = small_dataset(tmp_path)
+        meta = json.loads((data / "dataset.json").read_text())
+        meta["shift_pending"] = True
+        (data / "dataset.json").write_text(json.dumps(meta))
+        damage(data / "dev_labels.csv")
+        capsys.readouterr()
+        assert run("train", "--data", data, "--out", tmp_path / "run",
+                   "--config", small_config(tmp_path, shift_seconds=shift)) == 1
+        self.one_error_line(capsys, data, f"{data} (dev split): dev_labels.csv: {fragment}")
 
     @pytest.mark.parametrize("key, value, fragment", [
         ("epochs", 1.5, "config key 'epochs' must be an integer, got 1.5"),

@@ -2,7 +2,6 @@ import io
 import json
 import zipfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from sew.autodiff import Node, Sgd, backward, constant, make_rng, sum_all, unifo
 from sew.data import Standardizer
 from sew.errors import ConfigError, DimensionError, ExportError, NumericError
 from sew.networks import (
-    ABLATIONS,
     GatedLayer,
     GruRegressor,
     GruRegressorSpec,
@@ -22,10 +20,10 @@ from sew.networks import (
     MlpSpec,
     SewModel,
     assemble_sew,
-    blocks_for_ablation,
     load_model,
     save_model,
 )
+from sew.training import ABLATIONS, SewConfig
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -33,9 +31,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def tiny_config(ablation="full", latent=2):
     """Smallest legal full model: d1=4, d2=3, latent 2."""
-    return SimpleNamespace(
+    return SewConfig(
         latent_dim=latent,
+        d1=4,
+        d2=3,
         ablation=ablation,
+        k=latent,
         w_encoder=MlpSpec((latent,)),
         s_encoder=MlpSpec((latent,)),
         s_decoder1=MlpSpec((4,)),
@@ -195,15 +196,18 @@ class TestGruRegressor:
 
 class TestAssembly:
     def test_block_sets_per_ablation(self):
+        def blocks(ablation):
+            return tiny_config(ablation).blocks
+
         always = {"w_encoder", "regressor"}
-        assert blocks_for_ablation("full") == always | {"s_decoder1", "s_encoder", "s_decoder2"}
-        assert blocks_for_ablation("no_sd2") == always | {"s_decoder1", "s_encoder"}
-        assert blocks_for_ablation("no_cca") == blocks_for_ablation("full")
-        assert blocks_for_ablation("no_sd1") == always | {"s_encoder", "s_decoder2"}
-        assert blocks_for_ablation("no_cca_sd1") == always | {"s_encoder", "s_decoder2"}
-        assert blocks_for_ablation("unimodal") == always
-        with pytest.raises(ConfigError):
-            blocks_for_ablation("fully")
+        assert blocks("full") == always | {"s_decoder1", "s_encoder", "s_decoder2"}
+        assert blocks("no_sd2") == always | {"s_decoder1", "s_encoder"}
+        assert blocks("no_cca") == blocks("full")
+        assert blocks("no_sd1") == always | {"s_encoder", "s_decoder2"}
+        assert blocks("no_cca_sd1") == always | {"s_encoder", "s_decoder2"}
+        assert blocks("unimodal") == always
+        with pytest.raises(ConfigError, match="unknown ablation 'fully'"):
+            tiny_config("fully")
 
     def test_full_model_block_instances(self):
         model = assemble_sew(tiny_config(), d1=4, d2=3, seed=0)

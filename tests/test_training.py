@@ -1,19 +1,23 @@
 import dataclasses
 import gc
+import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import fd_gradients, intermediate_refs, rel_errors
 from sew import training
 from sew.autodiff import Node, backward, make_rng
 from sew.data import Dataset, standardize_dataset
-from sew.errors import ConfigError, ExportError, NumericError
+from sew.errors import ConfigError, DataError, ExportError, NumericError
 from sew.metrics import evaluate
-from sew.networks import ABLATIONS, GruRegressorSpec, MlpSpec, SewModel, assemble_sew, load_model
+from sew.networks import GruRegressorSpec, MlpSpec, SewModel, assemble_sew, load_model
 from sew.training import (
     ABLATION_LABELS,
+    ABLATIONS,
     HISTORY_COLUMNS,
     SewConfig,
     active_terms,
@@ -121,6 +125,15 @@ class TestConfig:
                    regressor={"hidden": 3, "num_layers": 1})
         assert config_from_dict(raw) == tiny_config(alpha=1.0, s_decoder2=None, ablation="no_sd2")
 
+    def test_zero_weighted_term_needs_no_spec(self, tmp_path):
+        raw = tiny_config().to_dict()
+        raw.update(alpha=0, s_decoder1=None)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        assert cfg.s_decoder1 is None
+        assert cfg.blocks == {"w_encoder", "s_encoder", "s_decoder2", "regressor"}
+
     def test_incomplete_config(self):
         with pytest.raises(ConfigError) as exc:
             config_from_dict({"d1": 4})
@@ -162,19 +175,17 @@ class TestSewLoss:
     def test_zero_weights_touch_only_deployment_blocks(self):
         cfg = tiny_config(alpha=0.0, beta=0.0, gamma=0.0)
         model = assemble_sew(cfg, 4, 3, seed=2)
+        assert [name for name, _ in model.blocks()] == ["w_encoder", "regressor"]
         total, comps = sew_loss(model, tiny_batch(), cfg)
         backward(total)
         assert set(comps) == {"e4"}
-        for name, p in model.named_parameters():
-            if name.startswith(("s_decoder1", "s_encoder", "s_decoder2")):
-                assert not p.grad.any(), name
         touched = [p.grad.any() for n, p in model.named_parameters() if n.startswith("w_encoder")]
         assert any(touched)
 
     def test_active_term_requires_block(self):
         cfg = tiny_config()
         model = assemble_sew(tiny_config(ablation="unimodal"), 4, 3, seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^loss term l1 is active but the model has no s_decoder1$"):
             sew_loss(model, tiny_batch(), cfg)
 
     def test_gradients_vs_finite_differences(self):
@@ -231,7 +242,32 @@ class TestSewLoss:
         data = (batch.m_s, batch.m_w, pool.m_s, pool.m_w)
         assert not any(n.value is d or np.array_equal(n.value, d) for n in nodes for d in data)
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), ablation=st.sampled_from(ABLATIONS),
+       zeroed=st.sets(st.sampled_from(("alpha", "beta", "gamma"))))
+def test_every_built_block_trains(seed, ablation, zeroed):
+    """The blocks a config builds are exactly `config.blocks`, and one
+    step's gradient reaches each of them: nothing is built that the run
+    would not train."""
+    cfg = tiny_config(ablation=ablation, r1=1e-2, r2=1e-2, **{w: 0.0 for w in zeroed})
+    model = assemble_sew(cfg, 4, 3, seed=seed)
+    assert {name for name, _ in model.blocks()} == cfg.blocks
+    total, _ = sew_loss(model, tiny_batch(seed=seed % 7), cfg)
+    backward(total)
+    for name, block in model.blocks():
+        assert any(p.grad.any() for _, p in block.named_parameters(name)), name
+
+
 class TestTrain:
+    def test_one_frame_split_is_refused_before_training(self, monkeypatch):
+        def no_standardizing(*args):
+            raise AssertionError("standardized a split that is too small")
+        monkeypatch.setattr(training, "standardize_dataset", no_standardizing)
+        cfg, data, one = tiny_config(), tiny_dataset(), tiny_dataset(n=1)
+        for split, sets in (("train", (one, data)), ("dev", (data, one))):
+            with pytest.raises(DataError, match=f"^the {split} split has 1 frame\\(s\\); training needs at least 2$"):
+                train(cfg, *sets)
+
     def test_dims_must_match_config(self):
         cfg = tiny_config()
         data = tiny_dataset()
@@ -292,6 +328,7 @@ class TestTrain:
         frozen, hist_frozen = train(
             tiny_config(alpha=0.0, beta=0.0, gamma=0.0, epochs=3), train_set, dev_set)
         uni, hist_uni = train(tiny_config(ablation="unimodal", epochs=3), train_set, dev_set)
+        assert [name for name, _ in frozen.blocks()] == [name for name, _ in uni.blocks()]
         assert [r.dev_ccc for r in hist_frozen] == [r.dev_ccc for r in hist_uni]
         assert [r.e4 for r in hist_frozen] == [r.e4 for r in hist_uni]
         uni_params = dict(uni.named_parameters())
