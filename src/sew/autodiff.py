@@ -9,22 +9,26 @@ is a leaf that takes a gradient (a parameter, or an input to differentiate
 by); `constant(value)` is a leaf whose `grad` is None. An op keeps as
 parents only the inputs that carry a grad: data fed in as constants never
 gets a zero buffer or a backward pass, and an op over constants alone
-returns a constant, with no grad, no parents and no backward closure. So
-the same forward code trains a model and serves one whose parameters are
-constants (as `networks.load_model` returns them) at the cost of numpy
-alone; `no_grad(nodes)` lends a trained model's parameters to such a pass.
+returns a constant, with no grad, no parents and no backward closure.
 `affine(w, x, b)` computes a layer's `w @ x + b` as one node.
+
+A forward pass that needs no gradient (serving, the dev pass) builds no
+graph at all: a block's `forward` takes the ops it calls as an argument,
+and `array_ops` holds its four forward ops on plain arrays. Each computes
+its value with the numpy calls of the graph op of its name (the two that
+take more than one call, `affine_value` and `sigmoid_value`, are shared by
+both), so one forward code gives the same bytes either way.
 
 Finiteness is checked where a value enters or leaves the graph, not after
 each op. A leaf (`Node`, `constant`) refuses NaN and Inf; `backward`
 refuses a loss that is not finite before any closure runs; `Sgd.step`
 refuses a non-finite grad before it moves anything and checks every value
 after the update. Ops check shapes only (and `scalar_mul` its scalar). A
-NaN made inside the graph propagates to whatever the graph outputs, so it
-always reaches the loss, or the output that `SewModel.predict` checks. An
-overflow that a saturating `tanh` or `sigmoid` maps back into range is not
-an error: the result is the exact limit (tanh gives +-1, sigmoid 0 or 1),
-and the gradient through it is 0.
+NaN made inside the graph, or inside a pass on arrays, propagates to
+whatever it outputs, so it always reaches the loss, or the output that
+`SewModel.predict` checks. An overflow that a saturating `tanh` or
+`sigmoid` maps back into range is not an error: the result is the exact
+limit (tanh gives +-1, sigmoid 0 or 1), and the gradient through it is 0.
 
 Graph links run only from a node to its parents, never back, so a graph is
 freed by reference counting as soon as its loss node is dropped; the
@@ -36,7 +40,7 @@ are safe to execute on separate threads.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -104,27 +108,19 @@ class Node:
 def constant(values, name: str = "constant") -> Node:
     """A leaf that takes no gradient: its `grad` is None and `backward`
     never reaches it."""
+    return unchecked_constant(as_matrix(values, name))
+
+
+def unchecked_constant(value: Matrix) -> Node:
+    """A constant holding the 2-D float64 array `value` itself, neither
+    copied nor inspected: how a pass on plain arrays returns its output
+    where a Node is expected. The caller checks its finiteness."""
     out = Node.__new__(Node)
-    out.value = as_matrix(values, name)
+    out.value = value
     out.grad = None
     out.parents = ()
     out._backward = None
     return out
-
-
-@contextmanager
-def no_grad(nodes: Iterable[Node]):
-    """Within the block, `nodes` act as constants: their grads are set
-    aside (None) and the same arrays put back on exit. Ops over them then
-    record no graph, and their values are used in place, never copied."""
-    saved = [(node, node.grad) for node in nodes]
-    for node, _ in saved:
-        node.grad = None
-    try:
-        yield
-    finally:
-        for node, grad in saved:
-            node.grad = grad
 
 
 def _result(value: Matrix, parents: Sequence[Node], backward: Callable[[Matrix], None]) -> Node:
@@ -150,14 +146,21 @@ def _result(value: Matrix, parents: Sequence[Node], backward: Callable[[Matrix],
     return out
 
 
+def affine_value(w: Node, x: Matrix, b: Node) -> Matrix:
+    """w @ x + b as a new array, from the values of the weight and bias
+    Nodes and the array x, whose shapes the caller has checked."""
+    value = w.value @ x
+    value += b.value
+    return value
+
+
 def affine(w: Node, x: Node, b: Node) -> Node:
     """w @ x + b, the column vector b (rows x 1) added to every column."""
     if w.value.shape[1] != x.value.shape[0]:
         raise DimensionError(f"affine: inner dims differ, {w.value.shape} x {x.value.shape}")
     if b.value.shape != (w.value.shape[0], 1):
         raise DimensionError(f"affine: bias {b.value.shape} does not fit rows of {w.value.shape}")
-    value = w.value @ x.value
-    value += b.value
+    value = affine_value(w, x.value, b)
 
     def backward(grad):
         if w.grad is not None:
@@ -220,18 +223,28 @@ def tanh(x: Node) -> Node:
     return _result(value, (x,), backward)
 
 
-def sigmoid(x: Node) -> Node:
+def sigmoid_value(v: Matrix) -> Matrix:
     """1 / (1 + exp(-v)) for v >= 0 and exp(v) / (1 + exp(v)) below, so
     that exp never overflows; both forms are computed from exp(-|v|)."""
-    v = x.value
     e = np.exp(-np.abs(v))
     d = 1.0 + e
-    value = np.where(v >= 0, 1.0 / d, e / d)
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
+def sigmoid(x: Node) -> Node:
+    value = sigmoid_value(x.value)
 
     def backward(grad):
         x.grad += grad * value * (1.0 - value)
 
     return _result(value, (x,), backward)
+
+
+# the forward ops a block calls, for a pass that builds no graph: each
+# takes and gives plain arrays (affine reads its weight and bias Nodes'
+# values in place) and computes what the graph op of its name computes
+array_ops = SimpleNamespace(affine=affine_value, tanh=np.tanh, sigmoid=sigmoid_value,
+                            elementwise_mul=np.multiply)
 
 
 def sum_all(x: Node) -> Node:

@@ -224,6 +224,12 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _check_frames(source: str, truth) -> None:
+    """The concordance metric needs two frames; name the input that has fewer."""
+    if truth.shape[1] < 2:
+        raise DataError(f"{source}: {truth.shape[1]} frame(s); evaluation needs at least 2")
+
+
 def cmd_eval(args) -> int:
     modes = [bool(args.truth or args.pred), bool(args.features or args.labels), bool(args.data)]
     if sum(modes) != 1:
@@ -236,6 +242,7 @@ def cmd_eval(args) -> int:
         preds = load_labels(args.pred)
         if truth.shape[1] != preds.shape[1]:
             raise DataError(f"{args.truth} has {truth.shape[1]} rows but {args.pred} has {preds.shape[1]}")
+        _check_frames(f"{args.truth}, {args.pred}", truth)
     else:
         if not args.model:
             raise ConfigError("--model is required when evaluating from features")
@@ -243,11 +250,13 @@ def cmd_eval(args) -> int:
         if args.data:
             ds = _load_split(Path(args.data), args.split, args.shift_seconds, args.frame_step_seconds)
             feats, truth = ds.m_w, ds.labels
+            _check_frames(f"{args.data} ({args.split} split)", truth)
         else:
             if not (args.features and args.labels):
                 raise ConfigError("--features and --labels go together")
             feats, truth = apply_shift(*load_csv(args.features, args.labels),
                                        args.shift_seconds, args.frame_step_seconds)
+            _check_frames(f"{args.features}, {args.labels}", truth)
         preds = model.predict(feats)
         if args.pred_out:
             write_csv(args.pred_out, preds)

@@ -337,20 +337,28 @@ class Standardizer:
         scale = np.where(std < 1e-8, 1.0, std)
         return cls(mean, scale)
 
-    def apply(self, x) -> Matrix:
-        """(x - mean) / scale per dimension, in C order; the entries are not
-        inspected, so a NaN or Inf passes through to the caller's check."""
+    def apply(self, x, order: str = "C") -> Matrix:
+        """(x - mean) / scale per dimension, written once into a new array
+        of memory order `order` ("C" or "F"); the entries are not inspected,
+        so a NaN or Inf passes through to the caller's check."""
         x = as_2d(x, "standardizer input")
         if x.shape[0] != self.mean.shape[0]:
             raise DimensionError(f"standardizer fit on {self.mean.shape[0]} dims, got {x.shape[0]}")
-        return np.ascontiguousarray((x - self.mean) / self.scale)
+        out = np.subtract(x, self.mean, order=order)
+        out /= self.scale
+        return out
 
 
 def standardize_dataset(train: Dataset, dev: Dataset):
-    """Fit per-modality scalers on train, apply to both. Labels untouched."""
+    """Fit per-modality scalers on train, apply to both. Labels untouched.
+
+    The train split's features are stored column-major, so the minibatch
+    and correlation-pool gathers copy contiguous frames; a gather gives a
+    column-major batch from either layout, so the bytes do not change. The
+    dev split stays row-major, as predict's input is."""
     scaler_s = Standardizer.fit(train.m_s)
     scaler_w = Standardizer.fit(train.m_w)
-    train_std = Dataset(scaler_s.apply(train.m_s), scaler_w.apply(train.m_w), train.labels)
+    train_std = Dataset(scaler_s.apply(train.m_s, "F"), scaler_w.apply(train.m_w, "F"), train.labels)
     dev_std = Dataset(scaler_s.apply(dev.m_s), scaler_w.apply(dev.m_w), dev.labels)
     return train_std, dev_std, scaler_s, scaler_w
 

@@ -9,6 +9,14 @@ not kept.
 
 Conventions: features live in columns (a block maps in_dim x batch to
 out_dim x batch); weights are out_dim x in_dim; biases are column vectors.
+
+A block's `forward` takes the ops it runs as the keyword `ops`: the
+autodiff module by default, which builds a graph over Nodes for training,
+or `autodiff.array_ops`, which runs the same arithmetic on plain arrays
+and builds nothing. `SewModel.deployment_forward` (serving, the dev pass)
+uses the latter; both give the same bytes. `ops` is keyword-only, so a
+wrapper that names a call from its positional arguments (as
+perfbench/tracing.py does) sees (block, x) either way.
 """
 
 from __future__ import annotations
@@ -89,8 +97,8 @@ class Linear:
         self.weight = _param(out_dim, in_dim, in_dim, rng)
         self.bias = Node(np.zeros((out_dim, 1)))
 
-    def forward(self, x: Node) -> Node:
-        return ad.affine(self.weight, x, self.bias)
+    def forward(self, x, *, ops=ad):
+        return ops.affine(self.weight, x, self.bias)
 
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
@@ -109,10 +117,10 @@ class Mlp:
     def output_dim(self) -> int:
         return self.spec.output_dim
 
-    def forward(self, x: Node) -> Node:
+    def forward(self, x, *, ops=ad):
         for layer in self.layers[:-1]:
-            x = ad.tanh(layer.forward(x))
-        return self.layers[-1].forward(x)
+            x = ops.tanh(layer.forward(x, ops=ops))
+        return self.layers[-1].forward(x, ops=ops)
 
     def named_parameters(self, prefix: str):
         out = []
@@ -147,10 +155,10 @@ class GatedLayer:
         self.b_z = Node(np.zeros((hidden, 1)))
         self.b_h = Node(np.zeros((hidden, 1)))
 
-    def forward(self, x: Node) -> Node:
-        z = ad.sigmoid(ad.affine(self.w_z, x, self.b_z))
-        cand = ad.tanh(ad.affine(self.w_h, x, self.b_h))
-        return ad.elementwise_mul(z, cand)
+    def forward(self, x, *, ops=ad):
+        z = ops.sigmoid(ops.affine(self.w_z, x, self.b_z))
+        cand = ops.tanh(ops.affine(self.w_h, x, self.b_h))
+        return ops.elementwise_mul(z, cand)
 
     def named_parameters(self, prefix: str):
         return [
@@ -173,10 +181,10 @@ class GruRegressor:
             in_dim = spec.hidden
         self.out = Linear(spec.hidden, spec.output, rng)
 
-    def forward(self, x: Node) -> Node:
+    def forward(self, x, *, ops=ad):
         for cell in self.cells:
-            x = cell.forward(x)
-        return self.out.forward(x)
+            x = cell.forward(x, ops=ops)
+        return self.out.forward(x, ops=ops)
 
     def named_parameters(self, prefix: str):
         out = []
@@ -235,14 +243,20 @@ class SewModel:
         return out
 
     def deployment_forward(self, m_w: Node) -> Node:
-        """W_E then R; the only path that exists after export."""
-        return self.regressor.forward(self.w_encoder.forward(m_w))
+        """W_E then R, the only path that exists after export, run on the
+        parameters' arrays: no graph, and a constant with no parents out.
+        Its values are not inspected."""
+        if m_w.value.shape[0] != self.w_encoder.input_dim:
+            raise DimensionError(f"expected {self.w_encoder.input_dim}-d weaker features, "
+                                 f"got {m_w.value.shape[0]} rows")
+        latent = self.w_encoder.forward(m_w.value, ops=ad.array_ops)
+        return ad.unchecked_constant(self.regressor.forward(latent, ops=ad.array_ops))
 
     def predict(self, m_w) -> Matrix:
         """Predict labels from raw (unstandardized) weaker-modality features.
 
         Finiteness is checked once on the way in, on the standardized frame
-        the graph reads, and once on the way out: NumericError if either
+        the model reads, and once on the way out: NumericError if either
         holds NaN or Inf.
         """
         m_w = as_2d(m_w, "m_w")
@@ -253,7 +267,7 @@ class SewModel:
         out = self.deployment_forward(ad.constant(m_w, "m_w")).value
         if not np.isfinite(out).all():
             raise NumericError("predict: the model output holds NaN or Inf")
-        return out.copy()
+        return out
 
 
 def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
@@ -367,8 +381,8 @@ def _rebuild_block(path, info):
 
 
 def load_model(path) -> SewModel:
-    """Read a model file. Its parameters are constants (their grad is None):
-    predict runs on numpy alone, and an optimizer refuses them."""
+    """Read a model file. Its parameters are constants (their grad is None),
+    so an optimizer refuses them."""
     try:
         zf = zipfile.ZipFile(path, "r")
     except zipfile.BadZipFile:

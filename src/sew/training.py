@@ -303,10 +303,8 @@ def _restore(model: SewModel, snap: dict) -> None:
 
 def _dev_eval(model: SewModel, dev_std: Dataset, config: SewConfig, epoch: int) -> metrics.EvalResult:
     # deployment path only: the stronger modality must never leak into
-    # model selection. The trained arrays serve as constants, so the pass
-    # builds no graph.
-    with ad.no_grad(p for _, p in model.named_parameters()):
-        preds = model.deployment_forward(ad.constant(dev_std.m_w, "dev m_w")).value
+    # model selection. It runs on the trained arrays and builds no graph.
+    preds = model.deployment_forward(ad.constant(dev_std.m_w, "dev m_w")).value
     if not np.isfinite(preds).all():
         raise NumericError(f"epoch {epoch}: dev predictions hold NaN or Inf")
     return metrics.evaluate(dev_std.labels, preds, config.sample_variance_ccc)

@@ -19,7 +19,6 @@ from sew.autodiff import (
     elementwise_mul,
     make_rng,
     mse_loss,
-    no_grad,
     scalar_mul,
     sigmoid,
     sum_all,
@@ -337,28 +336,6 @@ class TestFiniteBoundaries:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match=r"parameter 1 \(shape \(3, 1\)\) is not finite after"):
                 opt.step()
-
-    def test_no_grad_lends_parameters_as_constants(self):
-        rng = make_rng(29)
-        w, b = Node(rng.standard_normal((2, 3))), Node(rng.standard_normal((2, 1)))
-        opt = Sgd([w, b], lr=0.1)
-        grads = w.grad, b.grad
-        x = constant(rng.standard_normal((3, 4)))
-        with no_grad([w, b]):
-            out = tanh(affine(w, x, b))
-            assert w.grad is None and b.grad is None
-        assert out.grad is None and out.parents == ()
-        assert (w.grad, b.grad) == grads and w.grad is grads[0] and b.grad is grads[1]
-        np.testing.assert_array_equal(out.value, np.tanh(w.value @ x.value + b.value))
-        opt.step()  # the grads are the optimizer's own views again
-
-    def test_no_grad_restores_on_error(self):
-        w = Node(np.ones((2, 2)))
-        grad = w.grad
-        with pytest.raises(DimensionError):
-            with no_grad([w]):
-                affine(w, constant(np.ones((3, 1))), constant(np.ones((2, 1))))
-        assert w.grad is grad
 
 
 class TestConstants:

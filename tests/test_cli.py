@@ -316,6 +316,20 @@ class TestEvalCommand:
                    "--shift-seconds", 0.4, "--frame-step-seconds", 0.04) == 0
         assert "n=30" in capsys.readouterr().out  # 40 frames minus a 10-frame shift
 
+    @pytest.mark.parametrize("mode", ["data", "features", "truth-pred"])
+    def test_one_frame_input_is_named(self, tmp_path, capsys, mode):
+        data = small_dataset(tmp_path, n_dev=1)
+        weak, labels = data / "dev_weak.csv", data / "dev_labels.csv"
+        args, source = {
+            "data": (("--model", untrained_model(tmp_path), "--data", data, "--split", "dev"), f"{data} (dev split)"),
+            "features": (("--model", untrained_model(tmp_path), "--features", weak, "--labels", labels),
+                         f"{weak}, {labels}"),
+            "truth-pred": (("--truth", labels, "--pred", labels), f"{labels}, {labels}"),
+        }[mode]
+        capsys.readouterr()
+        assert run("eval", *args) == 1
+        assert capsys.readouterr().err == f"error: {source}: 1 frame(s); evaluation needs at least 2\n"
+
     @pytest.mark.parametrize("shift", [0.0, 2.4])
     def test_frame_count_mismatch_rejected(self, tmp_path, capsys, shift):
         """200 feature frames against 150 labels never pair up, shift or no shift."""

@@ -450,6 +450,20 @@ class TestStandardizer:
         np.testing.assert_array_equal(dev_std.m_s, scaler_s.apply(dev.m_s))
         np.testing.assert_array_equal(train_std.labels, train.labels)
 
+    def test_train_split_is_column_major_and_batches_keep_their_bytes(self):
+        train, dev, _ = generate_synthetic(small_spec())
+        train_std, dev_std, scaler_s, scaler_w = standardize_dataset(train, dev)
+        for m in (train_std.m_s, train_std.m_w):
+            assert m.flags.f_contiguous and not m.flags.c_contiguous
+        for m in (dev_std.m_s, dev_std.m_w):
+            assert m.flags.c_contiguous
+        row_major = Dataset(scaler_s.apply(train.m_s), scaler_w.apply(train.m_w), train.labels)
+        assert train_std.m_s.tobytes("F") == row_major.m_s.tobytes("F")
+        pairs = zip(batcher(train_std, 32, make_rng(5)), batcher(row_major, 32, make_rng(5)))
+        for a, b in pairs:
+            for x, y in ((a.m_s, b.m_s), (a.m_w, b.m_w), (a.labels, b.labels)):
+                assert x.flags.f_contiguous == y.flags.f_contiguous and x.tobytes("A") == y.tobytes("A")
+
 
 class TestBatcher:
     def make_dataset(self, n):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import fd_gradients, rel_errors
@@ -260,6 +260,8 @@ class TestPredict:
         model = assemble_sew(tiny_config("unimodal"), d1=4, d2=3, seed=0)
         with pytest.raises(DimensionError):
             model.predict(np.zeros((4, 5)))
+        with pytest.raises(DimensionError, match="expected 3-d weaker features, got 4 rows"):
+            model.deployment_forward(Node(np.zeros((4, 5))))
 
     def test_applies_weak_scaler(self):
         model = assemble_sew(tiny_config("unimodal"), d1=4, d2=3, seed=0)
@@ -298,6 +300,61 @@ class TestPredict:
             assert latent[0, 0] == np.inf
             out = model.predict(np.array([[10.0], [0.5], [0.5]]))
         assert np.isfinite(out).all()
+
+    def test_calls_deployment_forward_once_for_a_parentless_node(self, monkeypatch):
+        # perfbench's tracer wraps SewModel.deployment_forward and counts
+        # the nodes behind its result inside predict
+        model = assemble_sew(tiny_config("unimodal"), d1=4, d2=3, seed=0)
+        results = []
+        original = SewModel.deployment_forward
+
+        def recording(model, m_w):
+            results.append(original(model, m_w))
+            return results[-1]
+        monkeypatch.setattr(SewModel, "deployment_forward", recording)
+        x = make_rng(16, 83).standard_normal((3, 4))
+        for frames in (1, 4):
+            results.clear()
+            out = model.predict(x[:, :frames])
+            assert len(results) == 1 and isinstance(results[0], Node)
+            assert results[0].parents == () and results[0].grad is None
+            assert out.tobytes() == results[0].value.tobytes()
+
+
+# weights that overflow w @ x: tanh and sigmoid saturate to their exact
+# limits, and an infinity meeting one of the other sign makes a NaN
+_HUGE = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(encoder=st.lists(st.integers(1, 4), min_size=1, max_size=3), layers=st.integers(1, 3),
+       hidden=st.integers(1, 5), d2=st.integers(1, 4), seed=st.integers(0, 2**16), frames=st.integers(1, 9),
+       huge=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), _HUGE), max_size=6))
+# one overflowing latent coordinate: every gate saturates, the output is finite
+@example(encoder=[2], layers=1, hidden=2, d2=1, seed=0, frames=9, huge=[(0, 0, 1.7e308)])
+# every latent coordinate +-inf with one sign: R's first layer makes inf - inf
+@example(encoder=[2, 2], layers=1, hidden=3, d2=1, seed=0, frames=9,
+         huge=[(0, 0, 1.7e308), (0, 1, 1.7e308)] + [(2, j, 1.7e308) for j in range(4)])
+def test_deployment_forward_matches_the_graph_bytewise(encoder, layers, hidden, d2, seed, frames, huge):
+    rng = make_rng(seed, 84)
+    model = SewModel(encoder[-1], 1, d2, "unimodal", Mlp(MlpSpec(tuple(encoder)), d2, rng),
+                     GruRegressor(GruRegressorSpec(layers, hidden), encoder[-1], rng))
+    params = [p for _, p in model.named_parameters()]
+    for i, j, value in huge:
+        param = params[i % len(params)]
+        param.value.flat[j % param.value.size] = value
+    x = 3.0 * rng.standard_normal((d2, frames))
+    with np.errstate(over="ignore", invalid="ignore"):
+        graph = model.regressor.forward(model.w_encoder.forward(Node(x))).value
+        served = model.deployment_forward(Node(x))
+        assert served.parents == () and served.grad is None
+        assert served.value.shape == graph.shape == (1, frames)
+        assert served.value.tobytes() == graph.tobytes()
+        if np.isfinite(graph).all():
+            assert model.predict(x).tobytes() == graph.tobytes()
+        else:
+            with pytest.raises(NumericError, match="output holds NaN or Inf"):
+                model.predict(x)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

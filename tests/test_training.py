@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import fd_gradients, intermediate_refs, rel_errors
-from sew import training
+from sew import autodiff, training
 from sew.autodiff import Node, backward, make_rng
 from sew.data import Dataset, standardize_dataset
 from sew.errors import ConfigError, DataError, ExportError, NumericError
@@ -397,19 +397,49 @@ class TestTrain:
         assert "components {" in str(exc.value)
 
     def test_dev_eval_builds_no_graph_and_keeps_the_optimizer_views(self, monkeypatch):
-        seen = []
+        views, seen = [], []
+
+        class RecordingSgd(training.Sgd):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                views.append([p.grad for p in self.params])
         original = SewModel.deployment_forward
 
         def recording(model, m_w):
             out = original(model, m_w)
             seen.append((out.parents, out.grad, [p.grad for _, p in model.named_parameters()]))
             return out
+        monkeypatch.setattr(training, "Sgd", RecordingSgd)
         monkeypatch.setattr(SewModel, "deployment_forward", recording)
         _, history = train(tiny_config(epochs=3), tiny_dataset(), tiny_dataset(seed=1))
-        assert len(seen) == len(history) == 3
+        assert len(seen) == len(history) == 3 and len(views) == 1
         for parents, grad, param_grads in seen:
             assert parents == () and grad is None
-            assert all(g is None for g in param_grads)
+            assert len(param_grads) == len(views[0])
+            assert all(g is view for g, view in zip(param_grads, views[0]))
+
+    def test_dev_pass_and_predict_build_no_op_nodes(self, monkeypatch):
+        ops = []  # one entry per op result node, in training and serving alike
+        result = autodiff._result
+
+        def counted_result(*args):
+            ops.append(1)
+            return result(*args)
+        monkeypatch.setattr(autodiff, "_result", counted_result)
+        served = []  # op nodes built inside each dev pass
+        original = SewModel.deployment_forward
+
+        def counting(model, m_w):
+            before = len(ops)
+            out = original(model, m_w)
+            served.append(len(ops) - before)
+            return out
+        monkeypatch.setattr(SewModel, "deployment_forward", counting)
+        model, history = train(tiny_config(epochs=2), tiny_dataset(), tiny_dataset(seed=1))
+        assert ops and served == [0] * len(history)
+        before = len(ops)
+        model.predict(tiny_dataset(n=5, seed=2).m_w)
+        assert len(ops) == before
 
     def test_dev_eval_matches_a_grad_carrying_forward(self):
         cfg = tiny_config(epochs=2)
@@ -417,7 +447,7 @@ class TestTrain:
         model, history = train(cfg, train_set, dev_set)
         dev_std = standardize_dataset(train_set, dev_set)[1]
         assert all(p.grad is not None for _, p in model.named_parameters())
-        preds = model.deployment_forward(Node(dev_std.m_w)).value
+        preds = model.regressor.forward(model.w_encoder.forward(Node(dev_std.m_w))).value
         best = max(history, key=lambda r: r.dev_ccc)
         assert best.dev_ccc == evaluate(dev_std.labels, preds).ccc
 
