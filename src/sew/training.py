@@ -213,12 +213,15 @@ def load_config(path, overrides: dict | None = None) -> SewConfig:
 
 
 def active_terms(config: SewConfig) -> frozenset[str]:
-    """Terms trained by this run: the variant's set minus zero-weight terms.
+    """Terms trained by this run: the variant's set minus zero-weight terms,
+    and minus the autoencoding term l2 unless the alignment term l3 stays.
     They alone decide which blocks the run builds (`SewConfig.blocks`).
 
-    Skipping (rather than multiplying by zero) keeps the parameter
-    trajectory of the surviving blocks bit-identical to the variant that
-    never had the term.
+    l2 trains only S_E and S_D2, and those reach the shipped W_E + R only
+    through l3, which couples S_E to W_E; without l3, l2 cannot move the
+    deployed model. Skipping (rather than multiplying by zero) keeps the
+    parameter trajectory of the surviving blocks bit-identical to the
+    variant that never had the term, so runs with equal term sets are equal.
     """
     terms = set(_VARIANTS[config.ablation][1])
     if config.alpha == 0:
@@ -227,6 +230,8 @@ def active_terms(config: SewConfig) -> frozenset[str]:
         terms.discard("l2")
     if config.gamma == 0:
         terms.discard("l3")
+    if "l3" not in terms:
+        terms.discard("l2")
     return frozenset(terms)
 
 
@@ -241,9 +246,11 @@ class EpochReport:
     dev_acc: float
 
 
-def sew_loss(model: SewModel, batch: Dataset, config: SewConfig, cca_batch: Dataset | None = None):
+def sew_loss(model: SewModel, batch: Dataset, config: SewConfig, cca_batch: Dataset | None = None,
+             *, align: bool = True):
     """Total weighted loss for one batch plus its component values, a dict
-    keyed e1..e4 in which inactive terms are absent.
+    keyed e1..e4 in which inactive terms are absent. `align=False` leaves
+    out the alignment term on this batch only.
 
     total = alpha * mse(M_S, S_D1(W_E(M_W)))        translation
           + beta  * mse(M_S, S_D2(S_E(M_S)))        autoencoding
@@ -259,6 +266,8 @@ def sew_loss(model: SewModel, batch: Dataset, config: SewConfig, cca_batch: Data
     if missing:
         term = min(t for t in terms if missing[0] in _TERM_BLOCKS[t])
         raise ConfigError(f"loss term {term} is active but the model has no {missing[0]}")
+    if not align:
+        terms -= {"l3"}
 
     m_w = ad.constant(batch.m_w, "m_w")
     m_sw = model.w_encoder.forward(m_w)
@@ -353,8 +362,7 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
                 # skip the alignment term for this batch; everything else
                 # still trains
                 log.warning("epoch %d batch %d: alignment term skipped (%s)", epoch, i, err)
-                relaxed = dataclasses.replace(config, gamma=0.0)
-                total, comps = sew_loss(model, batch, relaxed)
+                total, comps = sew_loss(model, batch, config, align=False)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch} batch {i}: {err}") from err
             try:
@@ -413,15 +421,21 @@ class AblationRow:
     dev_ccc: float
     dev_acc: float
     best_epoch: int
+    terms: str  # the active terms, e.g. "l1+l4"; rows with equal terms share one run
     history: list[EpochReport] = field(repr=False, default_factory=list)
 
 
 def run_ablation_suite(config: SewConfig, train_set: Dataset, dev_set: Dataset) -> list[AblationRow]:
-    """Train every variant under the same seed and data; one table row each."""
+    """Train every variant under the same seed and data; one table row each.
+    Variants with equal active terms train alike: each set trains once."""
+    histories = {}
     rows = []
     for variant in ABLATIONS:
         vconf = dataclasses.replace(config, ablation=variant)
-        model, history = train(vconf, train_set, dev_set)
+        terms = active_terms(vconf)
+        if terms not in histories:
+            histories[terms] = train(vconf, train_set, dev_set)[1]
+        history = histories[terms]
         best = max(history, key=lambda r: r.dev_ccc) if history else None
         rows.append(AblationRow(
             variant,
@@ -429,6 +443,7 @@ def run_ablation_suite(config: SewConfig, train_set: Dataset, dev_set: Dataset) 
             best.dev_ccc if best else float("nan"),
             best.dev_acc if best else float("nan"),
             best.epoch if best else -1,
+            "+".join(sorted(terms)),
             history,
         ))
         log.info("variant %-12s dev ccc %.4f acc %.2f", variant,
@@ -440,17 +455,17 @@ def write_ablation_csv(path, rows: list[AblationRow], manifest_hash: str | None 
     with open(path, "w") as fh:
         if manifest_hash:
             fh.write(f"# manifest: {manifest_hash}\n")
-        fh.write("ablation,label,dev_ccc,dev_acc\n")
+        fh.write("ablation,label,dev_ccc,dev_acc,terms\n")
         for r in rows:
-            fh.write(f"{r.ablation},{r.label},{repr(float(r.dev_ccc))},{repr(float(r.dev_acc))}\n")
+            fh.write(f"{r.ablation},{r.label},{repr(float(r.dev_ccc))},{repr(float(r.dev_acc))},{r.terms}\n")
 
 
 def format_ablation_table(rows: list[AblationRow]) -> str:
     """Aligned text rendering of the ablation table."""
     width = max(len(r.label) for r in rows)
-    lines = [f"{'model':<{width}}  {'CCC':>8}  {'Acc':>7}"]
+    lines = [f"{'model':<{width}}  {'CCC':>8}  {'Acc':>7}  terms"]
     for r in rows:
-        lines.append(f"{r.label:<{width}}  {r.dev_ccc:>8.4f}  {r.dev_acc:>6.2f}%")
+        lines.append(f"{r.label:<{width}}  {r.dev_ccc:>8.4f}  {r.dev_acc:>6.2f}%  {r.terms}")
     return "\n".join(lines)
 
 

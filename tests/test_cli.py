@@ -8,10 +8,11 @@ import zipfile
 import numpy as np
 import pytest
 
+from sew import training
 from sew.cli import main
 from sew.data import load_features, load_labels, write_csv
 from sew.networks import GruRegressorSpec, MlpSpec, assemble_sew, save_model
-from sew.training import SewConfig, load_config
+from sew.training import SewConfig, load_config, train
 
 
 def run(*argv):
@@ -223,7 +224,7 @@ class TestAblateCommand:
         assert run("ablate", "--data", data, "--out", out, "--config", cfg,
                    "--plot-data") == 0
         lines = (out / "ablation.csv").read_text().splitlines()
-        assert lines[1] == "ablation,label,dev_ccc,dev_acc"
+        assert lines[1] == "ablation,label,dev_ccc,dev_acc,terms"
         body = [line.split(",") for line in lines[2:]]
         assert [row[0] for row in body] == [
             "full", "no_sd2", "no_cca", "no_sd1", "no_cca_sd1", "unimodal"]
@@ -232,9 +233,35 @@ class TestAblateCommand:
         for variant in ("full", "unimodal"):
             assert (out / variant / "metrics.csv").exists()
             assert (out / "plots" / f"{variant}.dat").exists()
+        assert [row[4] for row in body] == [
+            "l1+l2+l3+l4", "l1+l3+l4", "l1+l4", "l2+l3+l4", "l4", "l4"]
         table = capsys.readouterr().out
         assert "-(CCA&S_D1)" in table
         assert (out / "ablation.txt").read_text().strip() in table
+
+    def test_zero_weight_variants_share_runs(self, tmp_path, monkeypatch):
+        """With alpha = 0, variants that differ only in l1 train the same
+        terms: each distinct set trains once, and its rows say so."""
+        calls = []
+
+        def counted_train(config, *sets):
+            calls.append(config.ablation)
+            return train(config, *sets)
+        monkeypatch.setattr(training, "train", counted_train)
+        data = small_dataset(tmp_path)
+        cfg = small_config(tmp_path, alpha=0.0)
+        out = tmp_path / "ablate"
+        assert run("ablate", "--data", data, "--out", out, "--config", cfg, "--plot-data") == 0
+        assert calls == ["full", "no_sd2", "no_cca"]
+        body = [line.split(",") for line in (out / "ablation.csv").read_text().splitlines()[2:]]
+        terms = {row[1]: row[4] for row in body}
+        assert terms == {"full": "l2+l3+l4", "-S_D2": "l3+l4", "-CCA": "l4",
+                         "-S_D1": "l2+l3+l4", "-(CCA&S_D1)": "l4", "unimodal": "l4"}
+        assert body[3][2:4] == body[0][2:4]  # -S_D1 reports full's run
+        for shared, trained in (("no_sd1", "full"), ("no_cca_sd1", "no_cca"), ("unimodal", "no_cca")):
+            for path in ("{}/metrics.csv", "plots/{}.dat"):
+                assert (out / path.format(shared)).read_bytes() == (out / path.format(trained)).read_bytes()
+        assert "  l2+l3+l4" in (out / "ablation.txt").read_text()
 
 
 class TestEvalCommand:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import logging
@@ -147,13 +148,19 @@ class TestConfig:
 
     def test_active_terms_drop_zero_weights(self):
         assert active_terms(tiny_config()) == {"l1", "l2", "l3", "l4"}
-        assert active_terms(tiny_config(gamma=0.0)) == {"l1", "l2", "l4"}
+        assert active_terms(tiny_config(beta=0.0)) == {"l1", "l3", "l4"}
         assert active_terms(tiny_config(alpha=0.0, beta=0.0, gamma=0.0)) == {"l4"}
         assert active_terms(tiny_config(ablation="unimodal")) == {"l4"}
         assert active_terms(tiny_config(ablation="no_sd2")) == {"l1", "l3", "l4"}
-        assert active_terms(tiny_config(ablation="no_cca")) == {"l1", "l2", "l4"}
         assert active_terms(tiny_config(ablation="no_sd1")) == {"l2", "l3", "l4"}
-        assert active_terms(tiny_config(ablation="no_cca_sd1")) == {"l2", "l4"}
+
+    def test_autoencoding_needs_alignment(self):
+        """l2 reaches W_E only through l3: without l3, whether by variant
+        or by a zero gamma, it is not trained."""
+        assert active_terms(tiny_config(gamma=0.0)) == {"l1", "l4"}
+        assert active_terms(tiny_config(ablation="no_cca")) == {"l1", "l4"}
+        assert active_terms(tiny_config(ablation="no_cca_sd1")) == {"l4"}
+        assert active_terms(tiny_config(ablation="no_sd1", gamma=0.0)) == {"l4"}
 
 
 class TestSewLoss:
@@ -256,6 +263,38 @@ def test_every_built_block_trains(seed, ablation, zeroed):
     backward(total)
     for name, block in model.blocks():
         assert any(p.grad.any() for _, p in block.named_parameters(name)), name
+
+
+_ZERO_PATTERNS = [frozenset(w for i, w in enumerate(("alpha", "beta", "gamma")) if mask >> i & 1)
+                  for mask in range(8)]
+
+
+@functools.cache
+def _one_epoch_run(ablation, zeroed):
+    cfg = tiny_config(ablation=ablation, epochs=1, r1=1e-2, r2=1e-2, **{w: 0.0 for w in zeroed})
+    model, history = train(cfg, tiny_dataset(), tiny_dataset(seed=1))
+    deployed = [p.value.tobytes() for name, p in model.named_parameters()
+                if name.startswith(("w_encoder.", "regressor."))]
+    return cfg, model, history, deployed
+
+
+@pytest.mark.parametrize("zeroed", _ZERO_PATTERNS, ids=lambda z: "+".join(sorted(z)) or "none")
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_equal_terms_train_identically(ablation, zeroed):
+    """What `run_ablation_suite` relies on to train each term set once: l2
+    is active only with l3, the model holds exactly `config.blocks`, and
+    configs with equal active terms give the same history and W_E + R bytes
+    (compared with `full` zero-weighted down to the same terms)."""
+    cfg, model, history, deployed = _one_epoch_run(ablation, zeroed)
+    terms = active_terms(cfg)
+    assert "l2" not in terms or "l3" in terms
+    assert {name for name, _ in model.blocks()} == cfg.blocks
+    weights = {"l1": "alpha", "l2": "beta", "l3": "gamma"}
+    canonical = frozenset(w for t, w in weights.items() if t not in terms)
+    ref_cfg, _, ref_history, ref_deployed = _one_epoch_run("full", canonical)
+    assert active_terms(ref_cfg) == terms
+    assert history == ref_history
+    assert deployed == ref_deployed
 
 
 class TestTrain:
@@ -367,10 +406,33 @@ class TestTrain:
             epochs=1,
         )
         with caplog.at_level(logging.WARNING, logger="sew.training"):
-            _, history = train(cfg, tiny_dataset(n=12), tiny_dataset(n=12, seed=1))
+            model, history = train(cfg, tiny_dataset(n=12), tiny_dataset(n=12, seed=1))
         assert any("skipped" in rec.message for rec in caplog.records)
         assert history[0].e3 is None
-        assert history[0].e1 is not None  # the other terms still trained
+        # the other terms still trained, the autoencoder included
+        assert history[0].e1 is not None and history[0].e2 is not None
+        assert model.s_encoder is not None and model.s_decoder2 is not None
+
+    def test_singular_trailing_batch_skips_alignment_there_only(self, caplog, monkeypatch):
+        # 14 frames in batches of 4 end in a batch of 2, whose latent-2
+        # covariance has rank 1; the batches of 4 align
+        returned = []  # the components of each loss that trained a step
+        original = training.sew_loss
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            returned.append(sorted(out[1]))
+            return out
+        monkeypatch.setattr(training, "sew_loss", recording)
+        cfg = tiny_config(r1=0.0, r2=0.0, batch_size=4, epochs=2)
+        with caplog.at_level(logging.WARNING, logger="sew.training"):
+            _, history = train(cfg, tiny_dataset(n=14), tiny_dataset(n=12, seed=1))
+        skipped = [rec.message for rec in caplog.records if "alignment term skipped" in rec.message]
+        assert [m.split(":")[0] for m in skipped] == ["epoch 0 batch 3", "epoch 1 batch 3"]
+        assert all(r.e2 is not None and r.e3 is not None for r in history)
+        # the trailing batch still trains the autoencoder
+        epoch = [["e1", "e2", "e3", "e4"]] * 3 + [["e1", "e2", "e4"]]
+        assert returned == epoch * 2
 
     def test_divergence_reports_epoch_and_batch(self):
         cfg = tiny_config(lr=1e12, weight_decay=0.0, epochs=2)
@@ -518,21 +580,34 @@ class TestHistoryFiles:
 
 
 class TestAblationSuite:
-    def test_all_variants_reported(self, tmp_path):
+    def test_all_variants_reported(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted_train(config, *sets):
+            calls.append(config.ablation)
+            return train(config, *sets)
+        monkeypatch.setattr(training, "train", counted_train)
         cfg = tiny_config(epochs=2)
         rows = run_ablation_suite(cfg, tiny_dataset(), tiny_dataset(seed=1))
         assert [r.ablation for r in rows] == list(ABLATIONS)
         assert [r.label for r in rows] == [ABLATION_LABELS[a] for a in ABLATIONS]
+        assert [r.terms for r in rows] == [
+            "l1+l2+l3+l4", "l1+l3+l4", "l1+l4", "l2+l3+l4", "l4", "l4"]
+        # -(CCA&S_D1) trains what unimodal trains: one run for both
+        assert calls == ["full", "no_sd2", "no_cca", "no_sd1", "no_cca_sd1"]
         by_name = {r.ablation: r for r in rows}
-        # the strong-side-only variant cannot steer the deployment path
-        assert by_name["no_cca_sd1"].dev_ccc == by_name["unimodal"].dev_ccc
+        assert by_name["unimodal"].history is by_name["no_cca_sd1"].history
         table = format_ablation_table(rows)
         assert "-(CCA&S_D1)" in table and "unimodal" in table
+        assert table.splitlines()[0].endswith("terms")
+        assert table.splitlines()[-1].endswith("  l4")
         csv_path = tmp_path / "ablation.csv"
         write_ablation_csv(csv_path, rows, manifest_hash="ffff")
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "# manifest: ffff"
+        assert lines[1] == "ablation,label,dev_ccc,dev_acc,terms"
         assert len(lines) == 2 + len(ABLATIONS)
+        assert lines[2].endswith(",l1+l2+l3+l4")
 
 
 class TestExport:
