@@ -10,14 +10,21 @@ by); `constant(value)` is a leaf whose `grad` is None. An op keeps as
 parents only the inputs that carry a grad: data fed in as constants never
 gets a zero buffer or a backward pass, and an op over constants alone
 returns a constant, with no grad, no parents and no backward closure.
-`affine(w, x, b)` computes a layer's `w @ x + b` as one node.
+
+A layer is one node: `affine(w, x, b)` is a linear layer's `w @ x + b`,
+`tanh_affine` a hidden layer, `gated` one GRU step from a zero state, and
+`weighted_sum` adds a loss's 1x1 terms. Each gives the value and grads,
+byte for byte, of the chain of elementary ops it stands for (`tanh`,
+`sigmoid`, `elementwise_mul`, `elementwise_add`, `scalar_mul`), which stay
+as the reference. `backward` sorts the op nodes only: a leaf has no
+closure to run, so it is never pushed or ordered.
 
 A forward pass that needs no gradient (serving, the dev pass) builds no
 graph at all: a block's `forward` takes the ops it calls as an argument,
-and `array_ops` holds its four forward ops on plain arrays. Each computes
-its value with the numpy calls of the graph op of its name (the two that
-take more than one call, `affine_value` and `sigmoid_value`, are shared by
-both), so one forward code gives the same bytes either way.
+and `array_ops` holds its three layer ops on plain arrays. Each computes
+its value with the `*_value` function its graph op uses (`affine_value`,
+`tanh_affine_value`, `gated_value`), so one forward code gives the same
+bytes either way.
 
 Finiteness is checked where a value enters or leaves the graph, not after
 each op. A leaf (`Node`, `constant`) refuses NaN and Inf; `backward`
@@ -40,6 +47,8 @@ are safe to execute on separate threads.
 
 from __future__ import annotations
 
+import functools
+import math
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
@@ -136,14 +145,34 @@ def _result(value: Matrix, parents: Sequence[Node], backward: Callable[[Matrix],
     """
     out = Node.__new__(Node)
     out.value = value
-    out.parents = tuple(p for p in parents if p.grad is not None)
+    out.parents = tuple([p for p in parents if p.grad is not None])
     if out.parents:
-        out.grad = np.zeros_like(value)
+        # C order whatever the value's layout: a grad's layout can change
+        # the bytes only where it is reduced or multiplied (affine's
+        # backward), and an affine value is C-ordered already
+        out.grad = np.zeros(value.shape)
         out._backward = backward
     else:
         out.grad = None
         out._backward = None
     return out
+
+
+def _check_affine(w: Node, x: Node, b: Node) -> None:
+    if w.value.shape[1] != x.value.shape[0]:
+        raise DimensionError(f"affine: inner dims differ, {w.value.shape} x {x.value.shape}")
+    if b.value.shape != (w.value.shape[0], 1):
+        raise DimensionError(f"affine: bias {b.value.shape} does not fit rows of {w.value.shape}")
+
+
+def _affine_backward(w: Node, x: Node, b: Node, grad: Matrix) -> None:
+    """What affine's backward adds, given the grad of its output."""
+    if w.grad is not None:
+        w.grad += grad @ x.value.T
+    if x.grad is not None:
+        x.grad += w.value.T @ grad
+    if b.grad is not None:
+        b.grad += grad.sum(axis=1, keepdims=True)
 
 
 def affine_value(w: Node, x: Matrix, b: Node) -> Matrix:
@@ -156,21 +185,8 @@ def affine_value(w: Node, x: Matrix, b: Node) -> Matrix:
 
 def affine(w: Node, x: Node, b: Node) -> Node:
     """w @ x + b, the column vector b (rows x 1) added to every column."""
-    if w.value.shape[1] != x.value.shape[0]:
-        raise DimensionError(f"affine: inner dims differ, {w.value.shape} x {x.value.shape}")
-    if b.value.shape != (w.value.shape[0], 1):
-        raise DimensionError(f"affine: bias {b.value.shape} does not fit rows of {w.value.shape}")
-    value = affine_value(w, x.value, b)
-
-    def backward(grad):
-        if w.grad is not None:
-            w.grad += grad @ x.value.T
-        if x.grad is not None:
-            x.grad += w.value.T @ grad
-        if b.grad is not None:
-            b.grad += grad.sum(axis=1, keepdims=True)
-
-    return _result(value, (w, x, b), backward)
+    _check_affine(w, x, b)
+    return _result(affine_value(w, x.value, b), (w, x, b), functools.partial(_affine_backward, w, x, b))
 
 
 def elementwise_add(a: Node, b: Node) -> Node:
@@ -240,11 +256,84 @@ def sigmoid(x: Node) -> Node:
     return _result(value, (x,), backward)
 
 
+# --- fused ops -------------------------------------------------------------
+# Each is one node for a chain of the ops above, with the same arithmetic
+# in the same order: its value is the chain's value, and its backward adds
+# into each input the bytes the chain's closures would. (An intermediate
+# grad of the chain is a zeroed buffer plus one product, which turns a -0.0
+# into +0.0; every grad that leaves a fused op lands in such a buffer too,
+# so the results match.)
+
+
+def tanh_affine_value(w: Node, x: Matrix, b: Node) -> Matrix:
+    """tanh(w @ x + b), computed as tanh(affine(w, x, b)) computes it."""
+    return np.tanh(affine_value(w, x, b))
+
+
+def tanh_affine(w: Node, x: Node, b: Node) -> Node:
+    """tanh(w @ x + b): a hidden layer as one node."""
+    _check_affine(w, x, b)
+    value = tanh_affine_value(w, x.value, b)
+
+    def backward(grad):
+        _affine_backward(w, x, b, grad * (1.0 - value * value))
+
+    return _result(value, (w, x, b), backward)
+
+
+def _gate_and_candidate(w_z: Node, b_z: Node, w_h: Node, b_h: Node, x: Matrix) -> tuple[Matrix, Matrix]:
+    return sigmoid_value(affine_value(w_z, x, b_z)), tanh_affine_value(w_h, x, b_h)
+
+
+def gated_value(w_z: Node, b_z: Node, w_h: Node, b_h: Node, x: Matrix) -> Matrix:
+    """sigmoid(w_z @ x + b_z) * tanh(w_h @ x + b_h)."""
+    z, cand = _gate_and_candidate(w_z, b_z, w_h, b_h, x)
+    return z * cand
+
+
+def gated(w_z: Node, b_z: Node, w_h: Node, b_h: Node, x: Node) -> Node:
+    """sigmoid(w_z @ x + b_z) * tanh(w_h @ x + b_h), one GRU step from a
+    zero state, as one node. Its backward runs the gate path before the
+    candidate path, as the composition's does."""
+    _check_affine(w_z, x, b_z)
+    _check_affine(w_h, x, b_h)
+    z, cand = _gate_and_candidate(w_z, b_z, w_h, b_h, x.value)
+
+    def backward(grad):
+        _affine_backward(w_z, x, b_z, ((grad * cand) * z) * (1.0 - z))
+        _affine_backward(w_h, x, b_h, (grad * z) * (1.0 - cand * cand))
+
+    return _result(z * cand, (w_z, b_z, w_h, b_h, x), backward)
+
+
+def weighted_sum(terms: Sequence[Node], weights: Sequence[float]) -> Node:
+    """sum_i weights[i] * terms[i] over 1x1 terms, added left to right: the
+    value and grads of elementwise_add over scalar_mul nodes in that order
+    (a weight of 1.0 multiplies exactly, as a term added bare would)."""
+    weights = [float(c) for c in weights]
+    if not terms or len(terms) != len(weights):
+        raise GraphError(f"weighted_sum: {len(terms)} term(s) but {len(weights)} weight(s)")
+    if not all(math.isfinite(c) for c in weights):
+        raise NumericError("weighted_sum: a weight is not finite")
+    for t in terms:
+        if t.value.shape != (1, 1):
+            raise DimensionError(f"weighted_sum: terms must be 1x1, got {t.value.shape}")
+    value = weights[0] * terms[0].value
+    for c, t in zip(weights[1:], terms[1:]):
+        value = value + c * t.value
+
+    def backward(grad):
+        for c, t in zip(weights, terms):
+            if t.grad is not None:
+                t.grad += c * grad
+
+    return _result(value, terms, backward)
+
+
 # the forward ops a block calls, for a pass that builds no graph: each
-# takes and gives plain arrays (affine reads its weight and bias Nodes'
-# values in place) and computes what the graph op of its name computes
-array_ops = SimpleNamespace(affine=affine_value, tanh=np.tanh, sigmoid=sigmoid_value,
-                            elementwise_mul=np.multiply)
+# takes and gives plain arrays (reading its weight and bias Nodes' values
+# in place) and computes what the graph op of its name computes
+array_ops = SimpleNamespace(affine=affine_value, tanh_affine=tanh_affine_value, gated=gated_value)
 
 
 def sum_all(x: Node) -> Node:
@@ -282,20 +371,22 @@ def backward(loss: Node) -> None:
                          "this one was computed from constants only")
     if not np.isfinite(loss.value[0, 0]):
         raise NumericError(f"loss is not finite ({float(loss.value[0, 0])!r})")
+    # a depth-first sort of the op nodes; a leaf has no closure to order,
+    # so it is never pushed
     order: list[Node] = []
-    visited: set[int] = set()
+    visited: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in visited:
+            if parent._backward is not None and parent not in visited:
                 stack.append((parent, False))
     loss.grad += 1.0
     for node in reversed(order):

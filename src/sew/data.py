@@ -54,6 +54,13 @@ class Dataset:
         if np.abs(self.labels).max(initial=0.0) > 1.0 + LABEL_TOL:
             raise DataError(f"labels must lie in [-1, 1], found {self.labels[np.abs(self.labels) > 1 + LABEL_TOL].flat[0]}")
 
+    def take(self, idx) -> Dataset:
+        """The frames at columns `idx` (an index array), copied out of
+        arrays this Dataset has already checked, so not checked again."""
+        out = Dataset.__new__(Dataset)
+        out.m_s, out.m_w, out.labels = self.m_s[:, idx], self.m_w[:, idx], self.labels[:, idx]
+        return out
+
     @property
     def n(self) -> int:
         return self.m_s.shape[1]
@@ -365,7 +372,8 @@ def standardize_dataset(train: Dataset, dev: Dataset):
 
 def batcher(dataset: Dataset, batch_size: int, rng, shuffle: bool = True):
     """Yield minibatch Datasets covering the dataset; a trailing batch smaller
-    than 2 is dropped (covariance needs at least 2 samples).
+    than 2 is dropped (covariance needs at least 2 samples). Each is taken
+    from the already-checked `dataset` and not checked again.
 
     Shuffling draws from the Generator `rng`, so successive epochs differ.
     """
@@ -378,4 +386,4 @@ def batcher(dataset: Dataset, batch_size: int, rng, shuffle: bool = True):
         idx = order[start:start + batch_size]
         if idx.size < 2:
             break
-        yield Dataset(dataset.m_s[:, idx], dataset.m_w[:, idx], dataset.labels[:, idx])
+        yield dataset.take(idx)

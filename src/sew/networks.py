@@ -10,8 +10,9 @@ not kept.
 Conventions: features live in columns (a block maps in_dim x batch to
 out_dim x batch); weights are out_dim x in_dim; biases are column vectors.
 
-A block's `forward` takes the ops it runs as the keyword `ops`: the
-autodiff module by default, which builds a graph over Nodes for training,
+A block's `forward` takes the ops it runs as the keyword `ops`, a
+namespace holding `affine`, `tanh_affine` and `gated`: the autodiff module
+by default, which builds one graph node per layer over Nodes for training,
 or `autodiff.array_ops`, which runs the same arithmetic on plain arrays
 and builds nothing. `SewModel.deployment_forward` (serving, the dev pass)
 uses the latter; both give the same bytes. `ops` is keyword-only, so a
@@ -119,7 +120,7 @@ class Mlp:
 
     def forward(self, x, *, ops=ad):
         for layer in self.layers[:-1]:
-            x = ops.tanh(layer.forward(x, ops=ops))
+            x = ops.tanh_affine(layer.weight, x, layer.bias)
         return self.layers[-1].forward(x, ops=ops)
 
     def named_parameters(self, prefix: str):
@@ -156,9 +157,7 @@ class GatedLayer:
         self.b_h = Node(np.zeros((hidden, 1)))
 
     def forward(self, x, *, ops=ad):
-        z = ops.sigmoid(ops.affine(self.w_z, x, self.b_z))
-        cand = ops.tanh(ops.affine(self.w_h, x, self.b_h))
-        return ops.elementwise_mul(z, cand)
+        return ops.gated(self.w_z, self.b_z, self.w_h, self.b_h, x)
 
     def named_parameters(self, prefix: str):
         return [

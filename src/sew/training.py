@@ -247,55 +247,69 @@ class EpochReport:
 
 
 def sew_loss(model: SewModel, batch: Dataset, config: SewConfig, cca_batch: Dataset | None = None,
-             *, align: bool = True):
+             *, at: tuple[int, int] | None = None):
     """Total weighted loss for one batch plus its component values, a dict
-    keyed e1..e4 in which inactive terms are absent. `align=False` leaves
-    out the alignment term on this batch only.
+    keyed e1..e4 in which inactive terms are absent.
 
     total = alpha * mse(M_S, S_D1(W_E(M_W)))        translation
           + beta  * mse(M_S, S_D2(S_E(M_S)))        autoencoding
           + gamma * (-corr(S_E(M_S), W_E(M_W)))     alignment
           +         mse(T_l, R(W_E(M_W)))           prediction
 
-    The alignment correlation is estimated on `cca_batch` when given (a
-    larger dedicated pool), otherwise on the training batch itself.
+    The terms are built in the order prediction, translation, autoencoding,
+    alignment, and summed by one node in that order (the prediction term
+    alone is the loss itself). The alignment correlation is estimated on
+    `cca_batch` when given (a larger dedicated pool), otherwise on the
+    training batch itself. When its covariances are singular the
+    ConditioningError propagates, unless `at` gives the (epoch, batch)
+    this batch trains at: then a warning naming them is logged and the
+    term is left out of this batch's loss, the others standing as built.
     """
-    terms = active_terms(config)
+    active = active_terms(config)
     # the caller's model may not be the one this config assembles
     missing = sorted(b for b in config.blocks if getattr(model, b) is None)
     if missing:
-        term = min(t for t in terms if missing[0] in _TERM_BLOCKS[t])
+        term = min(t for t in active if missing[0] in _TERM_BLOCKS[t])
         raise ConfigError(f"loss term {term} is active but the model has no {missing[0]}")
-    if not align:
-        terms -= {"l3"}
 
-    m_w = ad.constant(batch.m_w, "m_w")
+    # a Dataset's arrays are finite by construction
+    m_w = ad.unchecked_constant(batch.m_w)
     m_sw = model.w_encoder.forward(m_w)
     p_l = model.regressor.forward(m_sw)
     l4 = ad.mse_loss(p_l, batch.labels)
     components = {"e4": float(l4.value[0, 0])}
-    total = l4
+    terms, weights = [l4], [1.0]
 
     m_ss = None
-    if "l2" in terms or ("l3" in terms and cca_batch is None):
-        m_ss = model.s_encoder.forward(ad.constant(batch.m_s, "m_s"))
-    if "l1" in terms:
+    if "l2" in active or ("l3" in active and cca_batch is None):
+        m_ss = model.s_encoder.forward(ad.unchecked_constant(batch.m_s))
+    if "l1" in active:
         l1 = ad.mse_loss(model.s_decoder1.forward(m_sw), batch.m_s)
         components["e1"] = float(l1.value[0, 0])
-        total = ad.elementwise_add(total, ad.scalar_mul(l1, config.alpha))
-    if "l2" in terms:
+        terms.append(l1)
+        weights.append(config.alpha)
+    if "l2" in active:
         l2 = ad.mse_loss(model.s_decoder2.forward(m_ss), batch.m_s)
         components["e2"] = float(l2.value[0, 0])
-        total = ad.elementwise_add(total, ad.scalar_mul(l2, config.beta))
-    if "l3" in terms:
+        terms.append(l2)
+        weights.append(config.beta)
+    if "l3" in active:
         if cca_batch is None:
             ss_view, sw_view = m_ss, m_sw
         else:
-            ss_view = model.s_encoder.forward(ad.constant(cca_batch.m_s, "cca m_s"))
-            sw_view = model.w_encoder.forward(ad.constant(cca_batch.m_w, "cca m_w"))
-        rho = cca_correlation(ss_view, sw_view, config.k, config.r1, config.r2)
-        components["e3"] = -float(rho.value[0, 0])
-        total = ad.elementwise_add(total, ad.scalar_mul(rho, -config.gamma))
+            ss_view = model.s_encoder.forward(ad.unchecked_constant(cca_batch.m_s))
+            sw_view = model.w_encoder.forward(ad.unchecked_constant(cca_batch.m_w))
+        try:
+            rho = cca_correlation(ss_view, sw_view, config.k, config.r1, config.r2)
+        except ConditioningError as err:
+            if at is None:
+                raise
+            log.warning("epoch %d batch %d: alignment term skipped (%s)", *at, err)
+        else:
+            components["e3"] = -float(rho.value[0, 0])
+            terms.append(rho)
+            weights.append(-config.gamma)
+    total = terms[0] if len(terms) == 1 else ad.weighted_sum(terms, weights)
     return total, components
 
 
@@ -313,7 +327,7 @@ def _restore(model: SewModel, snap: dict) -> None:
 def _dev_eval(model: SewModel, dev_std: Dataset, config: SewConfig, epoch: int) -> metrics.EvalResult:
     # deployment path only: the stronger modality must never leak into
     # model selection. It runs on the trained arrays and builds no graph.
-    preds = model.deployment_forward(ad.constant(dev_std.m_w, "dev m_w")).value
+    preds = model.deployment_forward(ad.unchecked_constant(dev_std.m_w)).value
     if not np.isfinite(preds).all():
         raise NumericError(f"epoch {epoch}: dev predictions hold NaN or Inf")
     return metrics.evaluate(dev_std.labels, preds, config.sample_variance_ccc)
@@ -354,15 +368,10 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
             opt.zero_grad()
             cca_batch = None
             if pool_size is not None:
-                idx = pool_rng.choice(train_std.n, size=pool_size, replace=False)
-                cca_batch = Dataset(train_std.m_s[:, idx], train_std.m_w[:, idx], train_std.labels[:, idx])
+                cca_batch = train_std.take(pool_rng.choice(train_std.n, size=pool_size, replace=False))
             try:
-                total, comps = sew_loss(model, batch, config, cca_batch)
-            except ConditioningError as err:
-                # skip the alignment term for this batch; everything else
-                # still trains
-                log.warning("epoch %d batch %d: alignment term skipped (%s)", epoch, i, err)
-                total, comps = sew_loss(model, batch, config, align=False)
+                # a singular alignment term is skipped on this batch only
+                total, comps = sew_loss(model, batch, config, cca_batch, at=(epoch, i))
             except NumericError as err:
                 raise NumericError(f"epoch {epoch} batch {i}: {err}") from err
             try:

@@ -17,13 +17,16 @@ from sew.autodiff import (
     constant,
     elementwise_add,
     elementwise_mul,
+    gated,
     make_rng,
     mse_loss,
     scalar_mul,
     sigmoid,
     sum_all,
     tanh,
+    tanh_affine,
     uniform_init,
+    weighted_sum,
 )
 from sew.dcca import cca_correlation
 from sew.errors import ConfigError, DimensionError, GraphError, NumericError
@@ -111,6 +114,102 @@ def test_affine_matches_numpy_and_central_differences():
         backward(build())
         for p, g in zip((w, x, b), fd_gradients(build, [w, x, b], h=1e-6)):
             assert rel_errors(p.grad, g).max() < 1e-6
+
+
+# --- fused ops against the elementary ops they stand for --------------------
+
+
+def _elementary(kind, params, x):
+    """What a fused layer stands for, built from the elementary ops."""
+    if kind == "tanh_affine":
+        w, b = params
+        return tanh(affine(w, x, b))
+    w_z, b_z, w_h, b_h = params
+    return elementwise_mul(sigmoid(affine(w_z, x, b_z)), tanh(affine(w_h, x, b_h)))
+
+
+def _fused(kind, params, x):
+    if kind == "tanh_affine":
+        w, b = params
+        return tanh_affine(w, x, b)
+    return gated(*params, x)
+
+
+# weights that overflow w @ x: tanh and sigmoid saturate to their exact
+# limits and pass back exact zeros; opposite infinities make a NaN
+_HUGE = st.sampled_from([1e308, -1e308])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kinds=st.lists(st.sampled_from(["tanh_affine", "gated"]), min_size=1, max_size=3),
+       widths=st.lists(st.integers(1, 5), min_size=4, max_size=4), frames=st.integers(1, 9),
+       seed=st.integers(0, 2**16), input_grad=st.booleans(),
+       huge=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), _HUGE), max_size=5),
+       weights=st.lists(st.floats(-3.0, 3.0), max_size=3))
+# every unit of both layers saturated
+@example(kinds=["gated", "tanh_affine"], widths=[1, 2, 2, 1], frames=9, seed=0, input_grad=True,
+         huge=[(0, 0, 1e308), (0, 1, -1e308), (2, 0, 1e308), (2, 1, 1e308), (4, 0, -1e308), (4, 1, 1e308)],
+         weights=[0.5, -2.0])
+def test_fused_ops_match_the_elementary_composition_bytewise(kinds, widths, frames, seed, input_grad,
+                                                             huge, weights):
+    """A stack of 1-3 fused layers under a weighted sum of loss terms gives
+    the value, and the grad of the input and of every parameter, of the same
+    stack built from the elementary ops, byte for byte."""
+    rng = make_rng(seed, 85)
+    layers = []
+    for kind, (rows, cols) in zip(kinds, zip(widths[1:], widths)):
+        shapes = [(rows, cols), (rows, 1)] * (1 if kind == "tanh_affine" else 2)
+        layers.append((kind, [rng.standard_normal(shape) for shape in shapes]))
+    arrays = [a for _, group in layers for a in group]
+    for i, j, value in huge:
+        array = arrays[i % len(arrays)]
+        array.flat[j % array.size] = value
+    x = 3.0 * rng.standard_normal((widths[0], frames))
+    targets = [rng.standard_normal((widths[len(kinds)], frames)) for _ in range(len(weights) + 1)]
+    # grads already held (as by a parameter that a graph uses twice): the
+    # order in which a backward adds into them then shows in the bytes
+    held = [rng.standard_normal(a.shape) for a in [x] + arrays]
+
+    def run(layer):
+        params = [[Node(a) for a in group] for _, group in layers]
+        h = inp = Node(x) if input_grad else constant(x)
+        leaves = [inp] + [p for group in params for p in group]
+        for node, grad in zip(leaves, held):
+            if node.grad is not None:
+                node.grad[...] = grad
+        for (kind, _), group in zip(layers, params):
+            h = layer(kind, group, h)
+        terms = [mse_loss(h, t) for t in targets]
+        if layer is _fused:
+            loss = weighted_sum(terms, [1.0] + weights) if weights else terms[0]
+        else:
+            loss = terms[0]
+            for c, term in zip(weights, terms[1:]):
+                loss = elementwise_add(loss, scalar_mul(term, c))
+        if np.isfinite(loss.value).all():
+            backward(loss)
+        return [h.value, loss.value] + [n.grad for n in leaves if n.grad is not None]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        fused, elementary = run(_fused), run(_elementary)
+    assert len(fused) == len(elementary) == 2 + input_grad + len(arrays)
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in elementary]
+
+
+def test_fused_ops_check_their_inputs():
+    w, x, b = Node(np.zeros((2, 3))), Node(np.zeros((3, 4))), Node(np.zeros((2, 1)))
+    with pytest.raises(DimensionError, match="inner dims"):
+        tanh_affine(w, Node(np.zeros((2, 4))), b)
+    with pytest.raises(DimensionError, match="bias"):
+        gated(w, b, w, Node(np.zeros((3, 1))), x)
+    one = Node([[1.0]])
+    with pytest.raises(DimensionError, match="1x1"):
+        weighted_sum([one, w], [1.0, 1.0])
+    with pytest.raises(GraphError, match="2 term"):
+        weighted_sum([one, one], [1.0])
+    with pytest.raises(NumericError, match="not finite"):
+        weighted_sum([one], [np.inf])
+
 
 def test_elementwise_values():
     x = Node([[1.0, -2.0], [0.5, 3.0]])

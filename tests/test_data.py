@@ -515,6 +515,16 @@ class TestBatcher:
         batches = list(batcher(ds, 32, rng=make_rng(0)))
         assert [b.labels.shape[1] for b in batches] == [32, 2]
 
+    def test_batches_are_not_checked_again(self, monkeypatch):
+        # the split was checked when it was built; its slices need no
+        # second finiteness or label-range pass
+        ds = self.make_dataset(20)
+        checked = []
+        monkeypatch.setattr(sew.data, "as_matrix", lambda *a: checked.append(a) or a[0])
+        batches = list(batcher(ds, 8, rng=make_rng(0)))
+        assert checked == [] and [b.n for b in batches] == [8, 8, 4]
+        assert all(isinstance(b, Dataset) for b in batches)
+
     def test_batch_size_validation(self):
         ds = self.make_dataset(10)
         with pytest.raises(ConfigError):

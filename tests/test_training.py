@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from _oracles import fd_gradients, intermediate_refs, rel_errors
 from sew import autodiff, training
 from sew.autodiff import Node, backward, make_rng
-from sew.data import Dataset, standardize_dataset
-from sew.errors import ConfigError, DataError, ExportError, NumericError
+from sew.data import Dataset, generate_synthetic, standardize_dataset
+from sew.errors import ConditioningError, ConfigError, DataError, ExportError, NumericError
 from sew.metrics import evaluate
-from sew.networks import GruRegressorSpec, MlpSpec, SewModel, assemble_sew, load_model
+from sew.networks import GruRegressorSpec, Mlp, MlpSpec, SewModel, assemble_sew, load_model
+from sew.presets import desk_config, desk_spec
 from sew.training import (
     ABLATION_LABELS,
     ABLATIONS,
@@ -221,6 +222,31 @@ class TestSewLoss:
         _, on_pool = sew_loss(model, batch, cfg, cca_batch=pool)
         assert on_pool["e3"] != on_batch["e3"]
         assert on_pool["e4"] == on_batch["e4"]
+
+    def test_singular_alignment_raises_unless_placed(self, caplog):
+        # latent 4 from 4 frames and no ridge: the covariances are singular
+        cfg = tiny_config(latent_dim=4, w_encoder=MlpSpec((4,)), s_encoder=MlpSpec((4,)), k=2, r1=0.0, r2=0.0)
+        model = assemble_sew(cfg, 4, 3, seed=0)
+        with pytest.raises(ConditioningError):
+            sew_loss(model, tiny_batch(p=4), cfg)
+        with caplog.at_level(logging.WARNING, logger="sew.training"):
+            total, comps = sew_loss(model, tiny_batch(p=4), cfg, at=(2, 5))
+        assert [rec.message.split(":")[0] for rec in caplog.records] == ["epoch 2 batch 5"]
+        assert sorted(comps) == ["e1", "e2", "e4"]
+        assert total.value[0, 0] == (comps["e4"] + comps["e1"]) + comps["e2"]
+
+    @pytest.mark.parametrize("ablation, ops", [("full", 16), ("unimodal", 6)])
+    def test_one_graph_node_per_layer(self, ablation, ops):
+        """A desk loss graph holds one op node per layer and per loss term,
+        and one sum over the terms: `full` has 11 layers (W_E 2, R 3, S_E 2,
+        S_D1 2, S_D2 2), four terms and the sum; `unimodal` has W_E, R and
+        the prediction term alone."""
+        cfg = desk_config(ablation=ablation)
+        model = assemble_sew(cfg, cfg.d1, cfg.d2, seed=0)
+        rng = make_rng(0, 92)
+        batch = Dataset(rng.standard_normal((32, 32)), rng.standard_normal((16, 32)), rng.uniform(-1, 1, (1, 32)))
+        total, _ = sew_loss(model, batch, cfg)
+        assert sum(r().parents != () for r in intermediate_refs(total)) == ops
 
     def test_graph_freed_without_cyclic_collector(self):
         cfg = tiny_config(r1=1e-2, r2=1e-2)
@@ -433,6 +459,28 @@ class TestTrain:
         # the trailing batch still trains the autoencoder
         epoch = [["e1", "e2", "e3", "e4"]] * 3 + [["e1", "e2", "e4"]]
         assert returned == epoch * 2
+
+    def test_singular_alignment_runs_each_forward_once(self, caplog, monkeypatch):
+        # latent 8 from batches of 8 and no ridge: every alignment term is
+        # singular, and is dropped where it is built
+        calls = []
+        original = Mlp.forward
+
+        def counting(block, x, **kwargs):
+            calls.append(block)
+            return original(block, x, **kwargs)
+        monkeypatch.setattr(Mlp, "forward", counting)
+        train_set, dev_set = generate_synthetic(desk_spec(n_samples=300, n_dev=100))[:2]
+        cfg = desk_config(seed=0, r1=0.0, r2=0.0, batch_size=8, epochs=3)
+        with caplog.at_level(logging.WARNING, logger="sew.training"):
+            _, history = train(cfg, train_set, dev_set)
+        assert sum("alignment term skipped" in rec.message for rec in caplog.records) == 3 * 38
+        # W_E, S_E, S_D1 and S_D2 once a step, and W_E once a dev pass
+        assert len(calls) == 3 * 38 * 4 + 3
+        assert [r.e2 for r in history] == [1.0148028572685164, 1.0095070882586585, 1.0099624212518843]
+        assert [r.dev_ccc for r in history] == [0.0003389333288382506, 0.0005949390058023706,
+                                               0.000841304049123053]
+        assert all(r.e3 is None for r in history)
 
     def test_divergence_reports_epoch_and_batch(self):
         cfg = tiny_config(lr=1e12, weight_decay=0.0, epochs=2)
