@@ -45,6 +45,7 @@ from .training import (
     load_config,
     run_ablation_suite,
     train,
+    with_variant,
     write_ablation_csv,
     write_history,
 )
@@ -85,10 +86,11 @@ def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_sec
 
 
 def _resolve_config(args):
-    overrides = {"seed": getattr(args, "seed", None), "ablation": getattr(args, "ablation", None)}
+    seed = {"seed": args.seed} if args.seed is not None else {}
+    variant = getattr(args, "ablation", "full")  # zeroes its loss weights on top of the config's
     if args.config:
-        return load_config(args.config, overrides), str(args.config)
-    return desk_config(**{k: v for k, v in overrides.items() if v is not None}), None
+        return with_variant(load_config(args.config, seed), variant), str(args.config)
+    return desk_config(ablation=variant, **seed), None
 
 
 def _dataset_fingerprint(train_set: Dataset, dev_set: Dataset) -> str:
@@ -301,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults: desk-scale synthetic config)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if name == "train":
-            p.add_argument("--ablation", default=None, choices=ABLATIONS,
-                           help="variant to train (default from config)")
+            p.add_argument("--ablation", default="full", choices=ABLATIONS,
+                           help="variant to train: the config with that variant's loss weights at 0")
         if "plot" in extra:
             p.add_argument("--plot-data", action="store_true",
                            help="also write gnuplot-ready .dat files")

@@ -206,7 +206,6 @@ class SewModel:
         latent_dim: int,
         d1: int,
         d2: int,
-        ablation: str,
         w_encoder: Mlp,
         regressor: GruRegressor,
         s_decoder1: Mlp | None = None,
@@ -216,7 +215,6 @@ class SewModel:
         self.latent_dim = int(latent_dim)
         self.d1 = int(d1)
         self.d2 = int(d2)
-        self.ablation = ablation
         self.w_encoder = w_encoder
         self.regressor = regressor
         self.s_decoder1 = s_decoder1
@@ -273,7 +271,7 @@ def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
     """Build the blocks `config.blocks` names, with one init stream per block.
 
     config is a validated SewConfig (its widths are checked there, not
-    here): it supplies latent_dim, ablation, the block set, and the block
+    here): it supplies latent_dim, the block set, and the block
     specs (w_encoder, s_decoder1, s_encoder, s_decoder2: MlpSpec;
     regressor: GruRegressorSpec). Per-block streams keep shared blocks
     bit-identical across block sets.
@@ -283,7 +281,7 @@ def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
     mlps = {name: Mlp(getattr(config, name), in_dims[name], make_rng(seed, _BLOCK_STREAMS[name]))
             for name in config.blocks & in_dims.keys()}
     regressor = GruRegressor(config.regressor, latent, make_rng(seed, _BLOCK_STREAMS["regressor"]))
-    return SewModel(latent, d1, d2, config.ablation, regressor=regressor, **mlps)
+    return SewModel(latent, d1, d2, regressor=regressor, **mlps)
 
 
 # --- serialization ---------------------------------------------------------
@@ -328,7 +326,6 @@ def save_model(model: SewModel, path, deployment: bool = False) -> None:
         "latent_dim": model.latent_dim,
         "d1": model.d1,
         "d2": model.d2,
-        "ablation": model.ablation,
         "blocks": {name: _block_meta(block) for name, block in kept},
         "scalers": [],
     }
@@ -406,7 +403,8 @@ def load_model(path) -> SewModel:
                     raise KeyError(required)
             built = {name: _rebuild_block(path, blocks[name]) for name in _BLOCK_STREAMS
                      if blocks.get(name) is not None}
-            model = SewModel(meta["latent_dim"], meta["d1"], meta["d2"], meta["ablation"], **built)
+            # an "ablation" key, which older files hold, is not read
+            model = SewModel(meta["latent_dim"], meta["d1"], meta["d2"], **built)
             scalers = meta["scalers"]
         except KeyError as err:
             raise ExportError(f"{path}: meta.json lacks required key {err.args[0]!r}") from None

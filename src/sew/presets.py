@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .data import SyntheticSpec
 from .errors import ConfigError
 from .networks import GruRegressorSpec, MlpSpec
-from .training import SewConfig
+from .training import SewConfig, with_variant
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def desk_spec(seed: int = 4, **overrides) -> SyntheticSpec:
 
 def desk_config(seed: int = 0, ablation: str = "full", **overrides) -> SewConfig:
     """Training config sized for desk_spec data; small enough that a full
-    run finishes in seconds."""
+    run finishes in seconds. `ablation` names a variant (`with_variant`)."""
     defaults = dict(
         latent_dim=8,
         d1=32,
@@ -101,7 +101,6 @@ def desk_config(seed: int = 0, ablation: str = "full", **overrides) -> SewConfig
         s_decoder1=MlpSpec((16, 32)),
         s_decoder2=MlpSpec((16, 32)),
         regressor=GruRegressorSpec(num_layers=2, hidden=16),
-        ablation=ablation,
         k=8,
         epochs=50,
         patience=10,
@@ -109,4 +108,4 @@ def desk_config(seed: int = 0, ablation: str = "full", **overrides) -> SewConfig
         shift_seconds=0.0,
     )
     defaults.update(overrides)
-    return SewConfig(**defaults)
+    return with_variant(SewConfig(**defaults), ablation)

@@ -25,20 +25,17 @@ log = logging.getLogger("sew.training")
 _STREAM_BATCHES = 21
 _STREAM_CCA_POOL = 22
 
-# variant -> (report label, loss terms it trains with); l4 (prediction) is
-# in every variant
+# variant -> (report label, loss weights it sets to zero); a variant is the
+# config's own run with those terms dropped
 _VARIANTS = {
-    "full": ("full", ("l1", "l2", "l3", "l4")),
-    "no_sd2": ("-S_D2", ("l1", "l3", "l4")),
-    "no_cca": ("-CCA", ("l1", "l2", "l4")),
-    "no_sd1": ("-S_D1", ("l2", "l3", "l4")),
-    "no_cca_sd1": ("-(CCA&S_D1)", ("l2", "l4")),
-    "unimodal": ("unimodal", ("l4",)),
+    "full": ("full", ()),
+    "no_sd2": ("-S_D2", ("beta",)),
+    "no_cca": ("-CCA", ("gamma",)),
+    "no_sd1": ("-S_D1", ("alpha",)),
+    "no_cca_sd1": ("-(CCA&S_D1)", ("alpha", "gamma")),
+    "unimodal": ("unimodal", ("alpha", "beta", "gamma")),
 }
 ABLATIONS = tuple(_VARIANTS)
-
-# CLI/report labels, one per variant, in canonical table order
-ABLATION_LABELS = {variant: label for variant, (label, _) in _VARIANTS.items()}
 
 # blocks each loss term trains (l1 and l3 also run W_E, which comes with l4)
 _TERM_BLOCKS = {
@@ -61,7 +58,6 @@ class SewConfig:
     s_encoder: MlpSpec | None = None
     s_decoder2: MlpSpec | None = None
     regressor: GruRegressorSpec = GruRegressorSpec()
-    ablation: str = "full"
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1.0
@@ -107,14 +103,12 @@ class SewConfig:
             raise ConfigError(f"shift_seconds must be >= 0, got {self.shift_seconds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.ablation not in _VARIANTS:
-            raise ConfigError(f"unknown ablation {self.ablation!r}; expected one of {ABLATIONS}")
         # the width each built MLP must end at
         ends = {"w_encoder": "latent_dim", "s_encoder": "latent_dim", "s_decoder1": "d1", "s_decoder2": "d1"}
         for name in sorted(self.blocks & ends.keys()):
             spec, target = getattr(self, name), ends[name]
             if spec is None:
-                raise ConfigError(f"ablation {self.ablation!r} needs a spec for {name}")
+                raise ConfigError(f"the active loss terms need a spec for {name}")
             if spec.output_dim != getattr(self, target):
                 raise ConfigError(f"{name} ends at {spec.output_dim}, {target} is {getattr(self, target)}")
 
@@ -140,13 +134,27 @@ class SewConfig:
             fh.write("\n")
 
 
+def _zeroed_weights(variant) -> dict:
+    if variant not in ABLATIONS:  # a tuple: any JSON value may be tested
+        raise ConfigError(f"ablation must be one of {', '.join(ABLATIONS)}, got {json.dumps(variant)}")
+    return dict.fromkeys(_VARIANTS[variant][1], 0.0)
+
+
+def with_variant(config: SewConfig, name: str) -> SewConfig:
+    """`config` with the loss weights of ablation variant `name` set to 0."""
+    return dataclasses.replace(config, **_zeroed_weights(name))
+
+
 def config_from_dict(raw: dict, overrides: dict | None = None) -> SewConfig:
     """Build a config from parsed JSON, checked by `check_json_fields`;
-    `overrides` replace keys of `raw`, except where they are None."""
+    `overrides` replace keys of `raw`, except where they are None. An older
+    config's "ablation" key zeroes its variant's weights before the build."""
     merged = dict(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
+    variant = merged.pop("ablation", "full")
     check_json_fields(SewConfig, merged, "config")
+    merged.update(_zeroed_weights(variant))
     for key, value in merged.items():
         if isinstance(value, list):
             merged[key] = MlpSpec(tuple(value))
@@ -176,7 +184,6 @@ _JSON_KINDS = {
     int: (lambda v: type(v) is int, "an integer"),
     float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
     bool: (lambda v: type(v) is bool, "true or false"),
-    str: (lambda v: type(v) is str, "a string"),
     type(None): (lambda v: v is None, "null"),
     MlpSpec: (lambda v: type(v) is list and all(type(s) is int for s in v), "a list of integers"),
     GruRegressorSpec: (lambda v: type(v) is dict, "an object"),
@@ -213,25 +220,24 @@ def load_config(path, overrides: dict | None = None) -> SewConfig:
 
 
 def active_terms(config: SewConfig) -> frozenset[str]:
-    """Terms trained by this run: the variant's set minus zero-weight terms,
-    and minus the autoencoding term l2 unless the alignment term l3 stays.
-    They alone decide which blocks the run builds (`SewConfig.blocks`).
+    """Terms trained by this run, read from the loss weights: the prediction
+    term l4 always, translation l1 if alpha, alignment l3 if gamma, and
+    autoencoding l2 if beta and gamma. They alone decide which blocks the
+    run builds (`SewConfig.blocks`).
 
     l2 trains only S_E and S_D2, and those reach the shipped W_E + R only
     through l3, which couples S_E to W_E; without l3, l2 cannot move the
     deployed model. Skipping (rather than multiplying by zero) keeps the
-    parameter trajectory of the surviving blocks bit-identical to the
-    variant that never had the term, so runs with equal term sets are equal.
+    parameter trajectory of the surviving blocks bit-identical to a run
+    that never had the term, so runs with equal term sets are equal.
     """
-    terms = set(_VARIANTS[config.ablation][1])
-    if config.alpha == 0:
-        terms.discard("l1")
-    if config.beta == 0:
-        terms.discard("l2")
-    if config.gamma == 0:
-        terms.discard("l3")
-    if "l3" not in terms:
-        terms.discard("l2")
+    terms = {"l4"}
+    if config.alpha:
+        terms.add("l1")
+    if config.gamma:
+        terms.add("l3")
+        if config.beta:
+            terms.add("l2")
     return frozenset(terms)
 
 
@@ -267,10 +273,10 @@ def sew_loss(model: SewModel, batch: Dataset, config: SewConfig, cca_batch: Data
     """
     active = active_terms(config)
     # the caller's model may not be the one this config assembles
-    missing = sorted(b for b in config.blocks if getattr(model, b) is None)
-    if missing:
-        term = min(t for t in active if missing[0] in _TERM_BLOCKS[t])
-        raise ConfigError(f"loss term {term} is active but the model has no {missing[0]}")
+    for term, blocks in _TERM_BLOCKS.items():
+        for block in blocks:
+            if term in active and getattr(model, block) is None:
+                raise ConfigError(f"loss term {term} is active but the model has no {block}")
 
     # a Dataset's arrays are finite by construction
     m_w = ad.unchecked_constant(batch.m_w)
@@ -440,7 +446,7 @@ def run_ablation_suite(config: SewConfig, train_set: Dataset, dev_set: Dataset) 
     histories = {}
     rows = []
     for variant in ABLATIONS:
-        vconf = dataclasses.replace(config, ablation=variant)
+        vconf = with_variant(config, variant)
         terms = active_terms(vconf)
         if terms not in histories:
             histories[terms] = train(vconf, train_set, dev_set)[1]
@@ -448,7 +454,7 @@ def run_ablation_suite(config: SewConfig, train_set: Dataset, dev_set: Dataset) 
         best = max(history, key=lambda r: r.dev_ccc) if history else None
         rows.append(AblationRow(
             variant,
-            ABLATION_LABELS[variant],
+            _VARIANTS[variant][0],
             best.dev_ccc if best else float("nan"),
             best.dev_acc if best else float("nan"),
             best.epoch if best else -1,

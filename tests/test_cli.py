@@ -171,7 +171,8 @@ class TestTrainCommand:
         row = (out / "metrics.csv").read_text().splitlines()[2]
         assert row.split(",")[1] == ""  # no translation loss in a unimodal run
         saved = json.loads((out / "config.json").read_text())
-        assert saved["ablation"] == "unimodal"
+        assert "ablation" not in saved
+        assert (saved["alpha"], saved["beta"], saved["gamma"]) == (0.0, 0.0, 0.0)
 
     def test_missing_data_dir(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
@@ -245,14 +246,14 @@ class TestAblateCommand:
         calls = []
 
         def counted_train(config, *sets):
-            calls.append(config.ablation)
+            calls.append((config.alpha, config.beta, config.gamma))
             return train(config, *sets)
         monkeypatch.setattr(training, "train", counted_train)
         data = small_dataset(tmp_path)
         cfg = small_config(tmp_path, alpha=0.0)
         out = tmp_path / "ablate"
         assert run("ablate", "--data", data, "--out", out, "--config", cfg, "--plot-data") == 0
-        assert calls == ["full", "no_sd2", "no_cca"]
+        assert calls == [(0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]  # full, no_sd2, no_cca
         body = [line.split(",") for line in (out / "ablation.csv").read_text().splitlines()[2:]]
         terms = {row[1]: row[4] for row in body}
         assert terms == {"full": "l2+l3+l4", "-S_D2": "l3+l4", "-CCA": "l4",
@@ -262,6 +263,27 @@ class TestAblateCommand:
             for path in ("{}/metrics.csv", "plots/{}.dat"):
                 assert (out / path.format(shared)).read_bytes() == (out / path.format(trained)).read_bytes()
         assert "  l2+l3+l4" in (out / "ablation.txt").read_text()
+
+    def test_legacy_variant_key_zeroes_on_top(self, tmp_path, monkeypatch):
+        """A config that names a variant in the legacy "ablation" key is that
+        variant's zero weights; every variant then drops terms from those."""
+        calls = []
+
+        def counted_train(config, *sets):
+            calls.append((config.alpha, config.beta, config.gamma))
+            return train(config, *sets)
+        monkeypatch.setattr(training, "train", counted_train)
+        cfg = small_config(tmp_path, epochs=1)
+        raw = json.loads(cfg.read_text())
+        raw["ablation"] = "unimodal"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "ablate"
+        assert run("ablate", "--data", small_dataset(tmp_path), "--out", out, "--config", cfg) == 0
+        assert calls == [(0.0, 0.0, 0.0)]
+        body = [line.split(",") for line in (out / "ablation.csv").read_text().splitlines()[2:]]
+        assert [row[4] for row in body] == ["l4"] * 6
+        saved = json.loads((out / "config.json").read_text())
+        assert "ablation" not in saved and saved["alpha"] == 0.0
 
 
 class TestEvalCommand:
@@ -525,11 +547,15 @@ class TestBadInputs:
         ("regressor", [1, 4], "config key 'regressor' must be an object, got [1, 4]"),
         ("regressor", {"layers": 1}, "unknown regressor key(s): layers"),
         ("regressor", {"hidden": None}, "regressor key 'hidden' must be an integer, got null"),
-        ("ablation", 3, "config key 'ablation' must be a string, got 3"),
+        ("ablation", 3, "ablation must be one of full, no_sd2, no_cca, no_sd1, no_cca_sd1, "
+                        "unimodal, got 3"),
+        ("ablation", "fully", "ablation must be one of full, no_sd2, no_cca, no_sd1, "
+                              "no_cca_sd1, unimodal, got \"fully\""),
     ], ids=["float-epochs", "float-batch", "float-k", "string-seed", "float-regressor-layers",
             "float-width", "string-bool", "string-lr", "nan-lr", "unknown-key", "k-range", "negative-seed",
             "regressor-output", "bool-as-int", "bool-as-float", "float-as-optional-int", "bool-in-widths",
-            "list-as-regressor", "unknown-regressor-key", "null-in-regressor", "int-as-string"])
+            "list-as-regressor", "unknown-regressor-key", "null-in-regressor", "int-as-string",
+            "unknown-variant"])
     def test_config_file(self, tmp_path, capsys, key, value, fragment):
         cfg = small_config(tmp_path)
         raw = json.loads(cfg.read_text())

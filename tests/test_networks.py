@@ -23,26 +23,26 @@ from sew.networks import (
     load_model,
     save_model,
 )
-from sew.training import ABLATIONS, SewConfig
+from sew.training import ABLATIONS, SewConfig, with_variant
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def tiny_config(ablation="full", latent=2):
-    """Smallest legal full model: d1=4, d2=3, latent 2."""
-    return SewConfig(
+    """Smallest legal full model: d1=4, d2=3, latent 2; `ablation` names a
+    variant applied by `with_variant`."""
+    return with_variant(SewConfig(
         latent_dim=latent,
         d1=4,
         d2=3,
-        ablation=ablation,
         k=latent,
         w_encoder=MlpSpec((latent,)),
         s_encoder=MlpSpec((latent,)),
         s_decoder1=MlpSpec((4,)),
         s_decoder2=MlpSpec((4,)),
         regressor=GruRegressorSpec(num_layers=1, hidden=3),
-    )
+    ), ablation)
 
 
 def zero_params(block):
@@ -207,7 +207,7 @@ class TestAssembly:
         assert blocks("no_sd1") == always | {"s_encoder", "s_decoder2"}
         assert blocks("no_cca_sd1") == always
         assert blocks("unimodal") == always
-        with pytest.raises(ConfigError, match="unknown ablation 'fully'"):
+        with pytest.raises(ConfigError, match='^ablation must be one of full, .*, got "fully"$'):
             tiny_config("fully")
 
     def test_full_model_block_instances(self):
@@ -338,7 +338,7 @@ _HUGE = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308])
          huge=[(0, 0, 1.7e308), (0, 1, 1.7e308)] + [(2, j, 1.7e308) for j in range(4)])
 def test_deployment_forward_matches_the_graph_bytewise(encoder, layers, hidden, d2, seed, frames, huge):
     rng = make_rng(seed, 84)
-    model = SewModel(encoder[-1], 1, d2, "unimodal", Mlp(MlpSpec(tuple(encoder)), d2, rng),
+    model = SewModel(encoder[-1], 1, d2, Mlp(MlpSpec(tuple(encoder)), d2, rng),
                      GruRegressor(GruRegressorSpec(layers, hidden), encoder[-1], rng))
     params = [p for _, p in model.named_parameters()]
     for i, j, value in huge:
@@ -385,7 +385,7 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.ablation == "full"
+        assert [n for n, _ in loaded.blocks()] == [n for n, _ in model.blocks()]
         assert (loaded.latent_dim, loaded.d1, loaded.d2) == (2, 4, 3)
         for (pn, pv), (_, qv) in zip(model.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(pv.value, qv.value, err_msg=pn)
@@ -434,6 +434,18 @@ class TestSerialization:
         io = np.load(FIXTURES / "model_v1_io.npz")
         model = load_model(FIXTURES / "model_v1.npz")
         assert model.predict(io["x"]).tobytes() == io["pred"].tobytes()
+
+    def test_ignores_legacy_ablation_key(self, tmp_path):
+        """Files written while models carried their variant's name hold an
+        "ablation" key in meta.json; it is read past."""
+        model = self.build()
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with zipfile.ZipFile(path) as zf:
+            assert "ablation" not in json.loads(zf.read("meta.json"))
+        self.rewrite_meta(path, lambda meta: meta.update(ablation="no_sd2"))
+        x = make_rng(15, 83).standard_normal((3, 8))
+        assert load_model(path).predict(x).tobytes() == model.predict(x).tobytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "model.npz"

@@ -2,6 +2,7 @@ import pytest
 
 from sew.errors import ConfigError
 from sew.presets import MODALITIES, desk_config, desk_spec, latent_dim_for, pair_config
+from sew.training import with_variant
 
 
 def test_modality_dimensions():
@@ -51,9 +52,10 @@ def test_pair_validation():
 
 
 def test_pair_overrides():
-    cfg = pair_config("video_geo", "audio", epochs=3, ablation="unimodal")
+    cfg = pair_config("video_geo", "audio", epochs=3, gamma=0.0)
     assert cfg.epochs == 3
-    assert cfg.ablation == "unimodal"
+    assert cfg.gamma == 0.0
+    assert cfg.blocks == {"w_encoder", "s_decoder1", "regressor"}
 
 
 def test_desk_spec_matches_desk_config_dims():
@@ -67,5 +69,5 @@ def test_desk_spec_matches_desk_config_dims():
 def test_desk_config_all_ablations_valid():
     for ablation in ("full", "no_sd2", "no_cca", "no_sd1", "no_cca_sd1", "unimodal"):
         cfg = desk_config(ablation=ablation)
-        assert cfg.ablation == ablation
+        assert cfg == with_variant(desk_config(), ablation)
         assert cfg.k <= cfg.latent_dim

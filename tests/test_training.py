@@ -18,7 +18,6 @@ from sew.metrics import evaluate
 from sew.networks import GruRegressorSpec, Mlp, MlpSpec, SewModel, assemble_sew, load_model
 from sew.presets import desk_config, desk_spec
 from sew.training import (
-    ABLATION_LABELS,
     ABLATIONS,
     HISTORY_COLUMNS,
     SewConfig,
@@ -30,12 +29,14 @@ from sew.training import (
     run_ablation_suite,
     sew_loss,
     train,
+    with_variant,
     write_ablation_csv,
     write_history,
 )
 
 
-def tiny_config(**kw):
+def tiny_config(ablation="full", **kw):
+    """A small config; `ablation` names a variant applied by `with_variant`."""
     base = dict(
         latent_dim=2,
         d1=4,
@@ -51,7 +52,7 @@ def tiny_config(**kw):
         seed=0,
     )
     base.update(kw)
-    return SewConfig(**base)
+    return with_variant(SewConfig(**base), ablation)
 
 
 def tiny_batch(p=8, seed=0):
@@ -91,9 +92,9 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             tiny_config(s_decoder2=None)  # full needs the autoencoder decoder
         assert "s_decoder2" in str(exc.value)
-        # but a variant that never builds it accepts the same config
-        cfg = tiny_config(s_decoder2=None, s_decoder1=None, s_encoder=None, ablation="unimodal")
-        assert cfg.ablation == "unimodal"
+        # but weights that never build it accept the same config
+        cfg = tiny_config(s_decoder2=None, s_decoder1=None, s_encoder=None, alpha=0.0, beta=0.0, gamma=0.0)
+        assert cfg.blocks == {"w_encoder", "regressor"}
 
     def test_width_cross_checks(self):
         # the one place block widths are checked: assemble_sew trusts them
@@ -125,7 +126,7 @@ class TestConfig:
         raw = tiny_config().to_dict()
         raw.update(alpha=1, cca_batch_size=None, s_decoder2=None, ablation="no_sd2",
                    regressor={"hidden": 3, "num_layers": 1})
-        assert config_from_dict(raw) == tiny_config(alpha=1.0, s_decoder2=None, ablation="no_sd2")
+        assert config_from_dict(raw) == tiny_config(alpha=1.0, beta=0.0, s_decoder2=None)
 
     def test_zero_weighted_term_needs_no_spec(self, tmp_path):
         raw = tiny_config().to_dict()
@@ -144,8 +145,22 @@ class TestConfig:
     def test_overrides_apply_and_none_is_ignored(self):
         raw = tiny_config().to_dict()
         cfg = config_from_dict(raw, overrides={"seed": 9, "ablation": None})
-        assert cfg.seed == 9
-        assert cfg.ablation == "full"
+        assert cfg == dataclasses.replace(tiny_config(), seed=9)
+
+    @pytest.mark.parametrize("name", ABLATIONS)
+    def test_legacy_ablation_key_is_a_variant(self, tmp_path, name):
+        """Configs written before variants became zero weights name one in
+        an "ablation" key; it loads as that variant of the rest."""
+        raw = tiny_config().to_dict()
+        assert "ablation" not in raw
+        raw["ablation"] = name
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(path) == with_variant(tiny_config(), name)
+        # the variant's zeros do not hide a mistyped weight
+        raw["alpha"] = "x"
+        with pytest.raises(ConfigError, match="config key 'alpha' must be a finite number"):
+            config_from_dict(raw)
 
     def test_active_terms_drop_zero_weights(self):
         assert active_terms(tiny_config()) == {"l1", "l2", "l3", "l4"}
@@ -632,17 +647,18 @@ class TestAblationSuite:
         calls = []
 
         def counted_train(config, *sets):
-            calls.append(config.ablation)
+            calls.append((config.alpha, config.beta, config.gamma))
             return train(config, *sets)
         monkeypatch.setattr(training, "train", counted_train)
         cfg = tiny_config(epochs=2)
         rows = run_ablation_suite(cfg, tiny_dataset(), tiny_dataset(seed=1))
         assert [r.ablation for r in rows] == list(ABLATIONS)
-        assert [r.label for r in rows] == [ABLATION_LABELS[a] for a in ABLATIONS]
+        assert [r.label for r in rows] == ["full", "-S_D2", "-CCA", "-S_D1", "-(CCA&S_D1)", "unimodal"]
         assert [r.terms for r in rows] == [
             "l1+l2+l3+l4", "l1+l3+l4", "l1+l4", "l2+l3+l4", "l4", "l4"]
-        # -(CCA&S_D1) trains what unimodal trains: one run for both
-        assert calls == ["full", "no_sd2", "no_cca", "no_sd1", "no_cca_sd1"]
+        # each variant zeroes its weights; -(CCA&S_D1) trains what unimodal
+        # trains: one run for both
+        assert calls == [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (0.0, 1.0, 0.0)]
         by_name = {r.ablation: r for r in rows}
         assert by_name["unimodal"].history is by_name["no_cca_sd1"].history
         table = format_ablation_table(rows)
