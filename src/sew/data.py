@@ -92,6 +92,9 @@ class SyntheticSpec:
     Both modalities are tanh-mixings of a shared latent draw; the weaker one
     sees a masked latent (weak_info_loss of the coordinates zeroed, mask
     fixed per dataset) and carries at least as much observation noise.
+
+    The defaults are the desk recipe of the acceptance gate (`desk_spec`
+    draws them at seed 4): changing one moves the gate.
     """
 
     latent_dim: int = 8

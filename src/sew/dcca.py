@@ -33,7 +33,7 @@ import logging
 
 import numpy as np
 
-from .autodiff import Node, as_matrix, _result
+from .autodiff import Node, as_2d, as_matrix, _result
 from .errors import ConditioningError, ConfigError, DataError, DimensionError
 
 log = logging.getLogger("sew.dcca")
@@ -43,16 +43,18 @@ log = logging.getLogger("sew.dcca")
 TIE_GAP = 1e-9
 
 
-def _whiten(m, ridge: float, name: str):
+def _whiten(m, ridge: float, view: str, name: str):
     """Centre one view and factor it: returns Q (d x r), the whitened sample
     coordinates Z (r x p) and lam^{-1/2} (r), as in the module docstring.
-    Raises ConditioningError when sigma = h h^T / (p-1) + ridge I is
-    singular: always when ridge = 0 and d >= p, since p centred samples span
-    at most p - 1 dimensions."""
+    Raises NumericError, naming `view`, when the centred view holds NaN or
+    Inf: a finite row whose sum overflows centres to -Inf, and the SVD of
+    such a view may never return. Raises ConditioningError when sigma =
+    h h^T / (p-1) + ridge I is singular: always when ridge = 0 and d >= p,
+    since p centred samples span at most p - 1 dimensions."""
     d, p = m.shape
+    h = as_matrix(m - m.mean(axis=1, keepdims=True), f"centred {view}")
     if ridge == 0.0 and d >= p:
         raise _singular(name, f"{p} centred samples span at most {p - 1} of {d} dimensions")
-    h = m - m.mean(axis=1, keepdims=True)
     q, s, wt = np.linalg.svd(h, full_matrices=False)
     lam = s * s / (p - 1) + ridge
     if lam[-1] <= 0.0:
@@ -73,8 +75,8 @@ def _cca_forward(m_ss, m_sw, k: int, r1: float, r2: float):
     singular values (those of C, zero-padded beyond r): what the backward
     needs.
     """
-    m_ss = as_matrix(m_ss, "m_ss")
-    m_sw = as_matrix(m_sw, "m_sw")
+    m_ss = as_2d(m_ss, "m_ss")
+    m_sw = as_2d(m_sw, "m_sw")
     if m_ss.shape != m_sw.shape:
         raise DimensionError(f"views must share shape d x p, got {m_ss.shape} vs {m_sw.shape}")
     d, p = m_ss.shape
@@ -84,8 +86,8 @@ def _cca_forward(m_ss, m_sw, k: int, r1: float, r2: float):
         raise ConfigError(f"regularizers must be >= 0, got r1={r1}, r2={r2}")
     if not 1 <= k <= d:
         raise ConfigError(f"k must be in [1, {d}], got {k}")
-    view_s = _whiten(m_ss, r1, "sigma_s")
-    view_w = _whiten(m_sw, r2, "sigma_w")
+    view_s = _whiten(m_ss, r1, "m_ss", "sigma_s")
+    view_w = _whiten(m_sw, r2, "m_sw", "sigma_w")
     a, core_svals, bt = np.linalg.svd(view_s[1] @ view_w[1].T / (p - 1))
     svals = np.zeros(d)
     svals[:core_svals.size] = core_svals

@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,15 +39,19 @@ from .errors import ConfigError, DimensionError, ExportError, NumericError
 FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
 
-# fixed init streams so e.g. the weak encoder starts identically across
-# ablation variants built from the same seed
-_BLOCK_STREAMS = {
-    "w_encoder": 1,
-    "s_decoder1": 2,
-    "s_encoder": 3,
-    "s_decoder2": 4,
-    "regressor": 5,
+# block -> (init stream, SewConfig field of its input width, of its output
+# width), in parameter and model-file order. R ends at its one label row.
+# Fixed streams start e.g. the weak encoder identically in every block set
+# built from one seed.
+BLOCKS = {
+    "w_encoder": (1, "d2", "latent_dim"),
+    "s_decoder1": (2, "latent_dim", "d1"),
+    "s_encoder": (3, "d1", "latent_dim"),
+    "s_decoder2": (4, "latent_dim", "d1"),
+    "regressor": (5, "latent_dim", None),
 }
+# the blocks a deployment export keeps: predict runs W_E then R
+DEPLOYED = ("w_encoder", "regressor")
 
 
 @dataclass(frozen=True)
@@ -224,14 +228,8 @@ class SewModel:
         self.scaler_weak: Standardizer | None = None
 
     def blocks(self):
-        pairs = [
-            ("w_encoder", self.w_encoder),
-            ("s_decoder1", self.s_decoder1),
-            ("s_encoder", self.s_encoder),
-            ("s_decoder2", self.s_decoder2),
-            ("regressor", self.regressor),
-        ]
-        return [(name, block) for name, block in pairs if block is not None]
+        """(name, block) of each built block, in `BLOCKS` order."""
+        return [(name, getattr(self, name)) for name in BLOCKS if getattr(self, name) is not None]
 
     def named_parameters(self):
         out = []
@@ -268,20 +266,20 @@ class SewModel:
 
 
 def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
-    """Build the blocks `config.blocks` names, with one init stream per block.
+    """Build the blocks `config.blocks` names, each on its `BLOCKS` init
+    stream and input width (d1 and d2 from the arguments).
 
     config is a validated SewConfig (its widths are checked there, not
     here): it supplies latent_dim, the block set, and the block
-    specs (w_encoder, s_decoder1, s_encoder, s_decoder2: MlpSpec;
-    regressor: GruRegressorSpec). Per-block streams keep shared blocks
-    bit-identical across block sets.
+    specs (MlpSpec; GruRegressorSpec for the regressor).
     """
-    latent = int(config.latent_dim)
-    in_dims = {"w_encoder": d2, "s_encoder": d1, "s_decoder1": latent, "s_decoder2": latent}
-    mlps = {name: Mlp(getattr(config, name), in_dims[name], make_rng(seed, _BLOCK_STREAMS[name]))
-            for name in config.blocks & in_dims.keys()}
-    regressor = GruRegressor(config.regressor, latent, make_rng(seed, _BLOCK_STREAMS["regressor"]))
-    return SewModel(latent, d1, d2, regressor=regressor, **mlps)
+    widths = {"latent_dim": int(config.latent_dim), "d1": d1, "d2": d2}
+    built = {}
+    for name in config.blocks:
+        stream, source, _ = BLOCKS[name]
+        cls = GruRegressor if name == "regressor" else Mlp
+        built[name] = cls(getattr(config, name), widths[source], make_rng(seed, stream))
+    return SewModel(widths["latent_dim"], d1, d2, **built)
 
 
 # --- serialization ---------------------------------------------------------
@@ -306,20 +304,14 @@ def _npy_bytes(arr: Matrix) -> bytes:
 def _block_meta(block) -> dict:
     if isinstance(block, Mlp):
         return {"type": "mlp", "layer_sizes": list(block.spec.layer_sizes), "input_dim": block.input_dim}
-    return {
-        "type": "gru_regressor",
-        "num_layers": block.spec.num_layers,
-        "hidden": block.spec.hidden,
-        "output": block.spec.output,
-        "input_dim": block.input_dim,
-    }
+    return {"type": "gru_regressor", **asdict(block.spec), "input_dim": block.input_dim}
 
 
 def save_model(model: SewModel, path, deployment: bool = False) -> None:
     """Write the model to `path`; deployment=True keeps only W_E and R."""
-    if deployment and (model.w_encoder is None or model.regressor is None):
+    if deployment and any(getattr(model, name) is None for name in DEPLOYED):
         raise ExportError("deployment export needs both the weak encoder and the regressor")
-    kept = [("w_encoder", model.w_encoder), ("regressor", model.regressor)] if deployment else model.blocks()
+    kept = [(name, block) for name, block in model.blocks() if not deployment or name in DEPLOYED]
     meta = {
         "format_version": FORMAT_VERSION,
         "kind": "deployment" if deployment else "training",
@@ -371,7 +363,7 @@ def _rebuild_block(path, info):
     if info["type"] == "mlp":
         return Mlp(MlpSpec(tuple(info["layer_sizes"])), info["input_dim"], None)
     if info["type"] == "gru_regressor":
-        spec = GruRegressorSpec(info["num_layers"], info["hidden"], info["output"])
+        spec = GruRegressorSpec(**{f.name: info[f.name] for f in fields(GruRegressorSpec)})
         return GruRegressor(spec, info["input_dim"], None)
     raise ExportError(f"{path}: unknown block type {info['type']!r}")
 
@@ -398,11 +390,10 @@ def load_model(path) -> SewModel:
             blocks = meta["blocks"]
             if not isinstance(blocks, dict):
                 raise ExportError(f"{path}: meta.json 'blocks' must be a JSON object, got {blocks!r}")
-            for required in ("w_encoder", "regressor"):
+            for required in DEPLOYED:
                 if blocks.get(required) is None:
                     raise KeyError(required)
-            built = {name: _rebuild_block(path, blocks[name]) for name in _BLOCK_STREAMS
-                     if blocks.get(name) is not None}
+            built = {name: _rebuild_block(path, blocks[name]) for name in BLOCKS if blocks.get(name) is not None}
             # an "ablation" key, which older files hold, is not read
             model = SewModel(meta["latent_dim"], meta["d1"], meta["d2"], **built)
             scalers = meta["scalers"]

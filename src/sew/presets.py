@@ -58,35 +58,20 @@ def pair_config(stronger: str, weaker: str, **overrides) -> SewConfig:
         s_encoder=_fit_encoder(strong.encoder, latent),
         s_decoder1=strong.decoder,
         s_decoder2=strong.decoder,
-        regressor=GruRegressorSpec(),
-        k=10,
     )
     defaults.update(overrides)
     return SewConfig(**defaults)
 
 
 def desk_spec(seed: int = 4, **overrides) -> SyntheticSpec:
-    """The calibrated synthetic dataset: a strongly observed latent of 8
-    against a half-masked, noisy weak view.
+    """The calibrated synthetic dataset: `SyntheticSpec`'s defaults, a
+    strongly observed latent of 8 against a half-masked, noisy weak view.
 
-    The default draw buries the label direction deep enough in the weak
+    The default draw (4) buries the label direction deep enough in the weak
     view that the uni-modal baseline converges slowly within the shipped
     epoch budget, which is where cross-modal supervision earns its keep.
     """
-    defaults = dict(
-        latent_dim=8,
-        d1=32,
-        d2=16,
-        noise_strong=0.1,
-        noise_weak=1.0,
-        weak_info_loss=0.5,
-        nonlinearity=1,
-        n_samples=4000,
-        n_dev=1000,
-        seed=seed,
-    )
-    defaults.update(overrides)
-    return SyntheticSpec(**defaults)
+    return SyntheticSpec(seed=seed, **overrides)
 
 
 def desk_config(seed: int = 0, ablation: str = "full", **overrides) -> SewConfig:
@@ -102,8 +87,6 @@ def desk_config(seed: int = 0, ablation: str = "full", **overrides) -> SewConfig
         s_decoder2=MlpSpec((16, 32)),
         regressor=GruRegressorSpec(num_layers=2, hidden=16),
         k=8,
-        epochs=50,
-        patience=10,
         seed=seed,
         shift_seconds=0.0,
     )

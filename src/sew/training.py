@@ -18,7 +18,7 @@ from .autodiff import Sgd, make_rng
 from .data import Dataset, batcher, standardize_dataset
 from .dcca import cca_correlation
 from .errors import ConditioningError, ConfigError, DataError, NumericError
-from .networks import GruRegressorSpec, MlpSpec, SewModel, assemble_sew, save_model
+from .networks import BLOCKS, GruRegressorSpec, MlpSpec, SewModel, assemble_sew, save_model
 
 log = logging.getLogger("sew.training")
 
@@ -103,13 +103,11 @@ class SewConfig:
             raise ConfigError(f"shift_seconds must be >= 0, got {self.shift_seconds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # the width each built MLP must end at
-        ends = {"w_encoder": "latent_dim", "s_encoder": "latent_dim", "s_decoder1": "d1", "s_decoder2": "d1"}
-        for name in sorted(self.blocks & ends.keys()):
-            spec, target = getattr(self, name), ends[name]
+        for name in sorted(self.blocks):
+            spec, target = getattr(self, name), BLOCKS[name][2]
             if spec is None:
                 raise ConfigError(f"the active loss terms need a spec for {name}")
-            if spec.output_dim != getattr(self, target):
+            if target and spec.output_dim != getattr(self, target):
                 raise ConfigError(f"{name} ends at {spec.output_dim}, {target} is {getattr(self, target)}")
 
     @property
@@ -124,7 +122,7 @@ class SewConfig:
             if isinstance(v, MlpSpec):
                 v = list(v.layer_sizes)
             elif isinstance(v, GruRegressorSpec):
-                v = {"num_layers": v.num_layers, "hidden": v.hidden, "output": v.output}
+                v = dataclasses.asdict(v)
             out[f.name] = v
         return out
 
@@ -435,7 +433,6 @@ class AblationRow:
     label: str
     dev_ccc: float
     dev_acc: float
-    best_epoch: int
     terms: str  # the active terms, e.g. "l1+l4"; rows with equal terms share one run
     history: list[EpochReport] = field(repr=False, default_factory=list)
 
@@ -457,7 +454,6 @@ def run_ablation_suite(config: SewConfig, train_set: Dataset, dev_set: Dataset) 
             _VARIANTS[variant][0],
             best.dev_ccc if best else float("nan"),
             best.dev_acc if best else float("nan"),
-            best.epoch if best else -1,
             "+".join(sorted(terms)),
             history,
         ))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _oracles import classical_cca_oracle, fd_gradients, rel_errors
 from sew.autodiff import Node, backward, make_rng
 from sew.dcca import cca_correlation
-from sew.errors import ConditioningError, ConfigError, DataError, DimensionError
+from sew.errors import ConditioningError, ConfigError, DataError, DimensionError, NumericError
 
 
 def rho_of(x, y, k, r1=0.0, r2=0.0) -> float:
@@ -251,6 +251,29 @@ def test_tied_singular_values_warn(caplog):
     with caplog.at_level(logging.WARNING, logger="sew.dcca"):
         cca_correlation(Node(x), Node(x.copy()), k=1, r1=0.0, r2=0.0)
     assert any("tied" in rec.message for rec in caplog.records)
+
+
+@pytest.mark.parametrize("view, bad", [("m_ss", "overflowing row"), ("m_sw", "inf entry")])
+def test_non_finite_centred_view_raises_before_any_svd(monkeypatch, view, bad):
+    """A finite row whose sum passes the float64 maximum centres to -Inf,
+    and the SVD of such a view may never return: both it and an Inf entry
+    end in NumericError naming the view, and no SVD sees them."""
+    real_svd = np.linalg.svd
+
+    def finite_only_svd(a, *args, **kwargs):
+        if not np.isfinite(a).all():
+            pytest.fail("svd called on a non-finite matrix")
+        return real_svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", finite_only_svd)
+    # a leaf refuses non-finite values; a graph value is set unchecked
+    views = [Node(v) for v in make_rng(14, 50).standard_normal((2, 8, 32))]
+    value = views[("m_ss", "m_sw").index(view)].value
+    if bad == "overflowing row":
+        value[0] = 1e307
+    else:
+        value[3, 5] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=f"centred {view}"):
+        cca_correlation(*views, 8, 1e-4, 1e-4)
 
 
 def test_k_out_of_range():

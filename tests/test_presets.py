@@ -1,6 +1,12 @@
+import json
+import zipfile
+
+import numpy as np
 import pytest
 
+from sew.autodiff import array_ops
 from sew.errors import ConfigError
+from sew.networks import BLOCKS, DEPLOYED, assemble_sew, load_model, save_model
 from sew.presets import MODALITIES, desk_config, desk_spec, latent_dim_for, pair_config
 from sew.training import with_variant
 
@@ -71,3 +77,30 @@ def test_desk_config_all_ablations_valid():
         cfg = desk_config(ablation=ablation)
         assert cfg == with_variant(desk_config(), ablation)
         assert cfg.k <= cfg.latent_dim
+
+
+PUBLISHED = {f"{p}->{q}": (p, q) for p in MODALITIES for q in MODALITIES if p != q}
+
+
+@pytest.mark.parametrize("pairing", [*PUBLISHED, "desk"])
+def test_assembled_blocks_follow_the_block_table(pairing):
+    """Each built block reads and ends at the config widths `BLOCKS` names
+    (R at its one label row), and parameters come in `BLOCKS` order."""
+    cfg = desk_config() if pairing == "desk" else pair_config(*PUBLISHED[pairing])
+    model = assemble_sew(cfg, cfg.d1, cfg.d2, cfg.seed)
+    for name, block in model.blocks():
+        _, source, target = BLOCKS[name]
+        out = block.forward(np.zeros((block.input_dim, 2)), ops=array_ops)
+        assert (block.input_dim, out.shape[0]) == (getattr(cfg, source), getattr(cfg, target) if target else 1)
+    owners = [pname.split(".")[0] for pname, _ in model.named_parameters()]
+    assert list(dict.fromkeys(owners)) == [name for name, _ in model.blocks()] == list(BLOCKS)
+
+
+def test_deployment_export_holds_exactly_the_deployed_blocks(tmp_path):
+    cfg = desk_config()
+    save_model(assemble_sew(cfg, cfg.d1, cfg.d2, cfg.seed), tmp_path / "deploy.npz", deployment=True)
+    with zipfile.ZipFile(tmp_path / "deploy.npz") as zf:
+        assert set(json.loads(zf.read("meta.json"))["blocks"]) == set(DEPLOYED)
+        owners = [member.split(".")[0] for member in zf.namelist()]
+    assert list(dict.fromkeys(owners)) == ["meta", *DEPLOYED]
+    assert [name for name, _ in load_model(tmp_path / "deploy.npz").blocks()] == list(DEPLOYED)

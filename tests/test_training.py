@@ -504,6 +504,23 @@ class TestTrain:
                 train(cfg, tiny_dataset(), tiny_dataset(seed=1))
         assert "epoch" in str(exc.value)
 
+    def test_overflowing_alignment_view_names_epoch_and_batch(self, monkeypatch):
+        # S_E's bias puts 1e308 in every sample of latent row 0: each value
+        # is finite, their sum is not, and the centred view is -Inf. No SVD
+        # may see it, since one of such a view may never return.
+        original = training.assemble_sew
+
+        def assemble_with_huge_bias(*args):
+            model = original(*args)
+            model.s_encoder.layers[-1].bias.value[0, 0] = 1e308
+            return model
+        monkeypatch.setattr(training, "assemble_sew", assemble_with_huge_bias)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("svd called"))
+        cfg = tiny_config(alpha=0.0, beta=0.0, epochs=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=r"^epoch 0 batch 0: centred m_ss contains NaN or Inf"):
+                train(cfg, tiny_dataset(), tiny_dataset(seed=1))
+
     def test_inf_weight_behind_saturating_tanh_names_epoch_and_batch(self, monkeypatch):
         # tanh maps the infinite pre-activation to exactly +-1, so the loss
         # and every grad stay finite; the update then leaves the weight
