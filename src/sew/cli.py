@@ -39,6 +39,7 @@ from .presets import desk_config
 from .training import (
     ABLATIONS,
     _read_json_object,
+    build_from_file,
     check_json_fields,
     export_deployment,
     format_ablation_table,
@@ -120,38 +121,19 @@ def _write_manifest(out_dir: Path, config, config_path, fingerprint: str) -> str
     return run_hash
 
 
-def _is_valid_spec(values: dict) -> bool:
-    try:
-        SyntheticSpec(**values)
-    except ConfigError:
-        return False
-    return True
+def _spec_from_dict(raw: dict) -> SyntheticSpec:
+    check_json_fields(SyntheticSpec, raw, "dataset")
+    return SyntheticSpec(**raw)
 
 
 def cmd_gen_data(args) -> int:
-    raw = _read_json_object(args.config) if args.config else {}
-    flag_values = {
+    flags = {
         "latent_dim": args.latent_dim, "d1": args.d1, "d2": args.d2,
         "noise_strong": args.noise_strong, "noise_weak": args.noise_weak,
         "weak_info_loss": args.weak_info_loss, "nonlinearity": args.depth,
         "n_samples": args.n_train, "n_dev": args.n_dev, "seed": args.seed,
     }
-    flags = {k: v for k, v in flag_values.items() if v is not None}
-    raw.update(flags)
-    # flag values are typed by argparse, so an unknown key or a mistyped
-    # value comes from the file
-    try:
-        check_json_fields(SyntheticSpec, raw, "dataset")
-    except ConfigError as err:
-        raise ConfigError(f"{args.config}: {err}") from None
-    try:
-        spec = SyntheticSpec(**raw)
-    except ConfigError as err:
-        # the file is at fault if the flag values alone make a valid spec
-        if args.config and _is_valid_spec(flags):
-            raise ConfigError(f"{args.config}: {err}") from None
-        raise
-
+    spec = build_from_file(_spec_from_dict, args.config, flags)
     train_set, dev_set, truth = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

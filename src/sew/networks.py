@@ -52,6 +52,9 @@ BLOCKS = {
 }
 # the blocks a deployment export keeps: predict runs W_E then R
 DEPLOYED = ("w_encoder", "regressor")
+# feature scaler -> the SewConfig width it standardizes, in model-file
+# order; a deployment keeps the one predict applies, on d2
+SCALERS = {"scaler_weak": "d2", "scaler_strong": "d1"}
 
 
 @dataclass(frozen=True)
@@ -321,15 +324,13 @@ def save_model(model: SewModel, path, deployment: bool = False) -> None:
         "blocks": {name: _block_meta(block) for name, block in kept},
         "scalers": [],
     }
-    scalers = [("scaler_weak", model.scaler_weak)]
-    if not deployment:
-        scalers.append(("scaler_strong", model.scaler_strong))
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         arrays = []
         for name, block in kept:
             arrays.extend(block.named_parameters(name))
-        for sname, scaler in scalers:
-            if scaler is None:
+        for sname, width in SCALERS.items():
+            scaler = getattr(model, sname)
+            if scaler is None or (deployment and width != "d2"):
                 continue
             meta["scalers"].append(sname)
             arrays.append((f"{sname}.mean", scaler.mean))
@@ -396,18 +397,21 @@ def load_model(path) -> SewModel:
             built = {name: _rebuild_block(path, blocks[name]) for name in BLOCKS if blocks.get(name) is not None}
             # an "ablation" key, which older files hold, is not read
             model = SewModel(meta["latent_dim"], meta["d1"], meta["d2"], **built)
-            scalers = meta["scalers"]
+            scalers = list(meta["scalers"])
         except KeyError as err:
             raise ExportError(f"{path}: meta.json lacks required key {err.args[0]!r}") from None
         except (TypeError, ValueError, ConfigError) as err:
             raise ExportError(f"{path}: meta.json is malformed ({err})") from None
-        # the widths predict chains: d2 -> W_E -> R
-        w_in, w_out, r_in = model.w_encoder.input_dim, model.w_encoder.output_dim, model.regressor.input_dim
-        if w_in != model.d2:
-            raise ExportError(f"{path}: meta.json d2 is {model.d2}, but blocks.w_encoder.input_dim is {w_in}")
-        if r_in != w_out:
-            raise ExportError(f"{path}: meta.json blocks.regressor.input_dim is {r_in}, "
-                              f"but blocks.w_encoder ends at {w_out}")
+        # every width against the field `BLOCKS` and `SCALERS` name for it
+        widths = {"latent_dim": model.latent_dim, "d1": model.d1, "d2": model.d2}
+        for name, block in model.blocks():
+            _, source, target = BLOCKS[name]
+            if block.input_dim != widths[source]:
+                raise ExportError(f"{path}: meta.json {source} is {widths[source]}, "
+                                  f"but blocks.{name}.input_dim is {block.input_dim}")
+            if target and block.output_dim != widths[target]:
+                raise ExportError(f"{path}: meta.json {target} is {widths[target]}, "
+                                  f"but blocks.{name} ends at {block.output_dim}")
         for pname, param in model.named_parameters():
             stored = _read_npy(zf, path, pname + ".npy")
             if stored.shape != param.value.shape:
@@ -415,10 +419,14 @@ def load_model(path) -> SewModel:
             param.value = stored
             param.grad = None
         for sname in scalers:
-            if sname not in ("scaler_weak", "scaler_strong"):
+            if not isinstance(sname, str) or sname not in SCALERS:
                 raise ExportError(f"{path}: unknown scaler {sname!r} in meta.json")
             scaler = Standardizer(_read_npy(zf, path, sname + ".mean.npy"), _read_npy(zf, path, sname + ".scale.npy"))
             if not (scaler.scale > 0).all():
                 raise ExportError(f"{path}: member {sname}.scale.npy holds a scale <= 0")
+            field = SCALERS[sname]
+            if not scaler.mean.shape == scaler.scale.shape == (widths[field], 1):
+                raise ExportError(f"{path}: meta.json {field} is {widths[field]}, but the {sname} members "
+                                  f"have shapes {scaler.mean.shape} and {scaler.scale.shape}")
             setattr(model, sname, scaler)
     return model

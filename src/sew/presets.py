@@ -14,16 +14,15 @@ from .training import SewConfig, with_variant
 
 @dataclass(frozen=True)
 class Modality:
-    name: str
     dim: int
     encoder: MlpSpec
     decoder: MlpSpec
 
 
 MODALITIES = {
-    "audio": Modality("audio", 88, MlpSpec((108, 128)), MlpSpec((108, 88))),
-    "video_geo": Modality("video_geo", 632, MlpSpec((512, 256, 128)), MlpSpec((256, 512, 632))),
-    "video_app": Modality("video_app", 168, MlpSpec((168,)), MlpSpec((168,))),
+    "audio": Modality(88, MlpSpec((108, 128)), MlpSpec((108, 88))),
+    "video_geo": Modality(632, MlpSpec((512, 256, 128)), MlpSpec((256, 512, 632))),
+    "video_app": Modality(168, MlpSpec((168,)), MlpSpec((168,))),
 }
 
 

@@ -143,13 +143,10 @@ def with_variant(config: SewConfig, name: str) -> SewConfig:
     return dataclasses.replace(config, **_zeroed_weights(name))
 
 
-def config_from_dict(raw: dict, overrides: dict | None = None) -> SewConfig:
-    """Build a config from parsed JSON, checked by `check_json_fields`;
-    `overrides` replace keys of `raw`, except where they are None. An older
+def config_from_dict(raw: dict) -> SewConfig:
+    """A config from parsed JSON, checked by `check_json_fields`. An older
     config's "ablation" key zeroes its variant's weights before the build."""
     merged = dict(raw)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
     variant = merged.pop("ablation", "full")
     check_json_fields(SewConfig, merged, "config")
     merged.update(_zeroed_weights(variant))
@@ -175,6 +172,22 @@ def _read_json_object(path, error=ConfigError) -> dict:
     if not isinstance(raw, dict):
         raise error(f"{path}: must be a JSON object")
     return raw
+
+
+def build_from_file(build, path, overrides: dict):
+    """`build` of the JSON object at `path` (`{}` when there is no path)
+    with the non-None `overrides` on top. A ConfigError that the file's own
+    values cause names the file; one that only the overrides cause does not."""
+    raw = _read_json_object(path) if path else {}
+    try:
+        return build({**raw, **{k: v for k, v in overrides.items() if v is not None}})
+    except ConfigError:
+        if path:
+            try:
+                build(raw)
+            except ConfigError as err:
+                raise ConfigError(f"{path}: {err}") from None
+        raise
 
 
 # field type -> (whether a parsed JSON value fits it, its name in messages)
@@ -206,15 +219,8 @@ def check_json_fields(cls, raw: dict, what: str) -> None:
 
 
 def load_config(path, overrides: dict | None = None) -> SewConfig:
-    """The config stored at `path`, with `overrides` applied as in
-    `config_from_dict`. An error the file's own values cause names the
-    file; one that only the overrides cause does not."""
-    raw = _read_json_object(path)
-    try:
-        config_from_dict(raw)
-    except ConfigError as err:
-        raise ConfigError(f"{path}: {err}") from None
-    return config_from_dict(raw, overrides)
+    """The config stored at `path`, `overrides` on top (`build_from_file`)."""
+    return build_from_file(config_from_dict, path, overrides or {})
 
 
 def active_terms(config: SewConfig) -> frozenset[str]:
@@ -408,7 +414,7 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
     return model, history
 
 
-HISTORY_COLUMNS = ("epoch", "e1", "e2", "e3", "e4", "dev_ccc", "dev_acc")
+HISTORY_COLUMNS = tuple(f.name for f in dataclasses.fields(EpochReport))
 
 
 def write_history(path, history, manifest_hash: str | None = None) -> None:

@@ -126,6 +126,22 @@ class TestGenData:
         assert run("gen-data", "--out", tmp_path / "e", "--config", cfg, "--n-train", 50) == 1
         assert capsys.readouterr().err.endswith("error: n_samples must be >= 100, got 50\n")
 
+    def test_file_is_blamed_only_for_its_own_values(self, tmp_path, capsys):
+        """Flags go on top of the file, and an error names the file only when
+        the file's own values fail; `train` follows the same rule."""
+        cfg = tmp_path / "spec.json"
+        cfg.write_text('{"seed": -1, "n_samples": 100, "n_dev": 10}')
+        assert run("gen-data", "--out", tmp_path / "a", "--config", cfg, "--seed", 0) == 0
+        capsys.readouterr()
+        assert run("gen-data", "--out", tmp_path / "b", "--config", cfg, "--n-dev", 5) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: seed must be >= 0, got -1\n"
+        # each alone is valid, but the flag's noise_weak undercuts the file's
+        # noise_strong: the flag is at fault
+        cfg.write_text('{"noise_strong": 0.5}')
+        assert run("gen-data", "--out", tmp_path / "c", "--config", cfg, "--noise-weak", 0.2) == 1
+        assert capsys.readouterr().err == "error: noise_weak (0.2) must be >= noise_strong (0.5)\n"
+
+
 class TestTrainCommand:
     def test_produces_run_artifacts(self, tmp_path, capsys):
         data = small_dataset(tmp_path)
@@ -161,6 +177,22 @@ class TestTrainCommand:
         assert run("train", "--data", data, "--out", out_a, "--config", cfg) == 0
         assert run("train", "--data", data, "--out", out_b, "--config", cfg, "--seed", 3) == 0
         assert file_hash(out_a / "metrics.csv") != file_hash(out_b / "metrics.csv")
+
+    def test_file_is_blamed_only_for_its_own_values(self, tmp_path, capsys):
+        """Flags go on top of the file, and an error names the file only when
+        the file's own values fail; `gen-data` follows the same rule."""
+        data = small_dataset(tmp_path)
+        cfg = small_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**raw, "seed": -1}))
+        assert run("train", "--data", data, "--out", tmp_path / "a", "--config", bad, "--seed", 0) == 0
+        bad.write_text(json.dumps({**raw, "lr": -1}))
+        capsys.readouterr()
+        assert run("train", "--data", data, "--out", tmp_path / "b", "--config", bad, "--seed", 0) == 1
+        assert capsys.readouterr().err == f"error: {bad}: lr must be > 0, got -1\n"
+        assert run("train", "--data", data, "--out", tmp_path / "c", "--config", cfg, "--seed", -1) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_ablation_override(self, tmp_path):
         data = small_dataset(tmp_path)
@@ -432,6 +464,20 @@ def _wrong_shape_member(path):
     _rewrite_member(path, "w_encoder.layers.0.weight.npy", lambda _: buf.getvalue())
 
 
+def _scaler_of_width(width):
+    """A damage that adds a `width`-row scaler_weak to a model file."""
+    def damage(path):
+        members = {"scaler_weak.mean.npy": np.zeros((width, 1)), "scaler_weak.scale.npy": np.ones((width, 1))}
+        with zipfile.ZipFile(path, "a") as zf:
+            for name, value in members.items():
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, value, allow_pickle=False)
+                zf.writestr(name, buf.getvalue())
+        _edit_meta(lambda m: m.update(scalers=["scaler_weak"]))(path)
+
+    return damage
+
+
 def _edit_meta(edit):
     """A damage that applies edit(meta) to a model file's meta.json."""
     def rewrite(payload):
@@ -474,9 +520,14 @@ class TestBadInputs:
         (_wrong_shape_member, "w_encoder.layers.0.weight has shape (2, 2)"),
         (_edit_meta(lambda m: m.update(d2=20)), "meta.json d2 is 20, but blocks.w_encoder.input_dim is 5"),
         (_edit_meta(lambda m: m["blocks"]["regressor"].update(input_dim=4)),
-         "meta.json blocks.regressor.input_dim is 4, but blocks.w_encoder ends at 3"),
+         "meta.json latent_dim is 3, but blocks.regressor.input_dim is 4"),
         (_edit_meta(lambda m: m["blocks"]["regressor"].update(output=2)), "regressor.output must be 1"),
-    ], ids=["truncated-zip", "wrong-shape-npy", "meta-d2", "meta-regressor-input", "meta-regressor-output"])
+        (_edit_meta(lambda m: m.update(d1=7)), "meta.json d1 is 7, but blocks.s_decoder1 ends at 6"),
+        (_scaler_of_width(4), "meta.json d2 is 5, but the scaler_weak members have shapes (4, 1) and (4, 1)"),
+        (_edit_meta(lambda m: m.update(scalers=5)), "meta.json is malformed"),
+        (_edit_meta(lambda m: m.update(scalers=[["x"]])), "unknown scaler ['x']"),
+    ], ids=["truncated-zip", "wrong-shape-npy", "meta-d2", "meta-regressor-input", "meta-regressor-output",
+            "meta-d1", "scaler-weak-width", "meta-scalers-not-a-list", "meta-scaler-not-a-name"])
     def test_model_file(self, tmp_path, capsys, damage, fragment):
         model = untrained_model(tmp_path)
         damage(model)

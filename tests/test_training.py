@@ -142,9 +142,10 @@ class TestConfig:
             config_from_dict({"d1": 4})
         assert "incomplete" in str(exc.value)
 
-    def test_overrides_apply_and_none_is_ignored(self):
-        raw = tiny_config().to_dict()
-        cfg = config_from_dict(raw, overrides={"seed": 9, "ablation": None})
+    def test_overrides_apply_and_none_is_ignored(self, tmp_path):
+        path = tmp_path / "config.json"
+        tiny_config().save(path)
+        cfg = load_config(path, {"seed": 9, "ablation": None})
         assert cfg == dataclasses.replace(tiny_config(), seed=9)
 
     @pytest.mark.parametrize("name", ABLATIONS)
