@@ -14,10 +14,9 @@ returns a constant, with no grad, no parents and no backward closure.
 A layer is one node: `affine(w, x, b)` is a linear layer's `w @ x + b`,
 `tanh_affine` a hidden layer, `gated` one GRU step from a zero state, and
 `weighted_sum` adds a loss's 1x1 terms. Each gives the value and grads,
-byte for byte, of the chain of elementary ops it stands for (`tanh`,
-`sigmoid`, `elementwise_mul`, `elementwise_add`, `scalar_mul`), which stay
-as the reference. `backward` sorts the op nodes only: a leaf has no
-closure to run, so it is never pushed or ordered.
+byte for byte, of the chain of elementary ops it stands for, which the
+tests keep as the reference (tests/_oracles.py). `backward` sorts the op
+nodes only: a leaf has no closure to run, so it is never pushed or ordered.
 
 A forward pass that needs no gradient (serving, the dev pass) builds no
 graph at all: a block's `forward` takes the ops it calls as an argument,
@@ -30,11 +29,11 @@ Finiteness is checked where a value enters or leaves the graph, not after
 each op. A leaf (`Node`, `constant`) refuses NaN and Inf; `backward`
 refuses a loss that is not finite before any closure runs; `Sgd.step`
 refuses a non-finite grad before it moves anything and checks every value
-after the update. Ops check shapes only (and `scalar_mul` its scalar). A
+after the update. Ops check shapes only (and `weighted_sum` its weights). A
 NaN made inside the graph, or inside a pass on arrays, propagates to
 whatever it outputs, so it always reaches the loss, or the output that
-`SewModel.predict` checks. An overflow that a saturating `tanh` or
-`sigmoid` maps back into range is not an error: the result is the exact
+`SewModel.predict` checks. An overflow that a saturating tanh or
+sigmoid maps back into range is not an error: the result is the exact
 limit (tanh gives +-1, sigmoid 0 or 1), and the gradient through it is 0.
 
 Graph links run only from a node to its parents, never back, so a graph is
@@ -189,56 +188,6 @@ def affine(w: Node, x: Node, b: Node) -> Node:
     return _result(affine_value(w, x.value, b), (w, x, b), functools.partial(_affine_backward, w, x, b))
 
 
-def elementwise_add(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-    def backward(grad):
-        if a.grad is not None:
-            a.grad += grad
-        if b.grad is not None:
-            b.grad += grad
-
-    return _result(a.value + b.value, (a, b), backward)
-
-
-def elementwise_mul(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-    def backward(grad):
-        if a.grad is not None:
-            a.grad += grad * b.value
-        if b.grad is not None:
-            b.grad += grad * a.value
-
-    return _result(a.value * b.value, (a, b), backward)
-
-
-# the unary ops below need no check on their input's grad: an output that
-# has a backward has its one parent, and that parent carries a grad
-
-
-def scalar_mul(x: Node, c: float) -> Node:
-    c = float(c)
-    if not np.isfinite(c):
-        raise NumericError("scalar_mul: scalar is not finite")
-
-    def backward(grad):
-        x.grad += c * grad
-
-    return _result(c * x.value, (x,), backward)
-
-
-def tanh(x: Node) -> Node:
-    value = np.tanh(x.value)
-
-    def backward(grad):
-        x.grad += grad * (1.0 - value * value)
-
-    return _result(value, (x,), backward)
-
-
 def sigmoid_value(v: Matrix) -> Matrix:
     """1 / (1 + exp(-v)) for v >= 0 and exp(v) / (1 + exp(v)) below, so
     that exp never overflows; both forms are computed from exp(-|v|)."""
@@ -247,17 +196,8 @@ def sigmoid_value(v: Matrix) -> Matrix:
     return np.where(v >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(x: Node) -> Node:
-    value = sigmoid_value(x.value)
-
-    def backward(grad):
-        x.grad += grad * value * (1.0 - value)
-
-    return _result(value, (x,), backward)
-
-
 # --- fused ops -------------------------------------------------------------
-# Each is one node for a chain of the ops above, with the same arithmetic
+# Each is one node for a chain of elementary ops, with the same arithmetic
 # in the same order: its value is the chain's value, and its backward adds
 # into each input the bytes the chain's closures would. (An intermediate
 # grad of the chain is a zeroed buffer plus one product, which turns a -0.0
@@ -334,6 +274,10 @@ def weighted_sum(terms: Sequence[Node], weights: Sequence[float]) -> Node:
 # takes and gives plain arrays (reading its weight and bias Nodes' values
 # in place) and computes what the graph op of its name computes
 array_ops = SimpleNamespace(affine=affine_value, tanh_affine=tanh_affine_value, gated=gated_value)
+
+
+# the unary ops below need no check on their input's grad: an output that
+# has a backward has its one parent, and that parent carries a grad
 
 
 def sum_all(x: Node) -> Node:

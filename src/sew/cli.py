@@ -88,10 +88,9 @@ def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_sec
 
 def _resolve_config(args):
     seed = {"seed": args.seed} if args.seed is not None else {}
-    variant = getattr(args, "ablation", "full")  # zeroes its loss weights on top of the config's
-    if args.config:
-        return with_variant(load_config(args.config, seed), variant), str(args.config)
-    return desk_config(ablation=variant, **seed), None
+    config = load_config(args.config, seed) if args.config else desk_config(**seed)
+    # the variant zeroes its loss weights on top of the config's
+    return with_variant(config, getattr(args, "ablation", "full")), args.config or None
 
 
 def _dataset_fingerprint(train_set: Dataset, dev_set: Dataset) -> str:
@@ -192,18 +191,6 @@ def cmd_ablate(args) -> int:
         variant_dir = out / row.ablation
         variant_dir.mkdir(exist_ok=True)
         write_history(variant_dir / "metrics.csv", row.history, run_hash)
-    if args.plot_data:
-        plots = out / "plots"
-        plots.mkdir(exist_ok=True)
-        for row in rows:
-            with open(plots / f"{row.ablation}.dat", "w") as fh:
-                fh.write("# epoch dev_ccc dev_acc\n")
-                for r in row.history:
-                    fh.write(f"{r.epoch} {r.dev_ccc!r} {r.dev_acc!r}\n")
-        with open(plots / "ablation.dat", "w") as fh:
-            fh.write("# index label dev_ccc dev_acc\n")
-            for i, row in enumerate(rows):
-                fh.write(f"{i} {row.label} {row.dev_ccc!r} {row.dev_acc!r}\n")
     print(table)
     return 0
 
@@ -278,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-dev", type=int, default=None)
     p.set_defaults(func=cmd_gen_data)
 
-    for name, fn, extra in (("train", cmd_train, ()), ("ablate", cmd_ablate, ("plot",))):
+    for name, fn in (("train", cmd_train), ("ablate", cmd_ablate)):
         p = sub.add_parser(name, help=f"{name} on a dataset directory")
         p.add_argument("--data", required=True, help="dataset directory (gen-data layout)")
         p.add_argument("--out", required=True, help="output directory")
@@ -287,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "train":
             p.add_argument("--ablation", default="full", choices=ABLATIONS,
                            help="variant to train: the config with that variant's loss weights at 0")
-        if "plot" in extra:
-            p.add_argument("--plot-data", action="store_true",
-                           help="also write gnuplot-ready .dat files")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("eval", help="score predictions or run a model over features")

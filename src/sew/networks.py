@@ -39,23 +39,6 @@ from .errors import ConfigError, DimensionError, ExportError, NumericError
 FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
 
-# block -> (init stream, SewConfig field of its input width, of its output
-# width), in parameter and model-file order. R ends at its one label row.
-# Fixed streams start e.g. the weak encoder identically in every block set
-# built from one seed.
-BLOCKS = {
-    "w_encoder": (1, "d2", "latent_dim"),
-    "s_decoder1": (2, "latent_dim", "d1"),
-    "s_encoder": (3, "d1", "latent_dim"),
-    "s_decoder2": (4, "latent_dim", "d1"),
-    "regressor": (5, "latent_dim", None),
-}
-# the blocks a deployment export keeps: predict runs W_E then R
-DEPLOYED = ("w_encoder", "regressor")
-# feature scaler -> the SewConfig width it standardizes, in model-file
-# order; a deployment keeps the one predict applies, on d2
-SCALERS = {"scaler_weak": "d2", "scaler_strong": "d1"}
-
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -113,6 +96,9 @@ class Linear:
 
 
 class Mlp:
+    TYPE = "mlp"  # its "type" in a model file
+    SPEC = MlpSpec
+
     def __init__(self, spec: MlpSpec, input_dim: int, rng):
         if input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
@@ -177,6 +163,9 @@ class GruRegressor:
     """Stacked gated layers (each one GRU step from a zero hidden state)
     feeding one linear output layer."""
 
+    TYPE = "gru_regressor"
+    SPEC = GruRegressorSpec
+
     def __init__(self, spec: GruRegressorSpec, input_dim: int, rng):
         self.spec = spec
         self.input_dim = int(input_dim)
@@ -200,6 +189,25 @@ class GruRegressor:
         return out
 
 
+# block -> (init stream, SewConfig field of its input width, of its output
+# width, its class), in parameter and model-file order: R is the gated
+# stack and ends at its one label row, the other four are MLPs. Fixed
+# streams start e.g. the weak encoder identically in every block set built
+# from one seed.
+BLOCKS = {
+    "w_encoder": (1, "d2", "latent_dim", Mlp),
+    "s_decoder1": (2, "latent_dim", "d1", Mlp),
+    "s_encoder": (3, "d1", "latent_dim", Mlp),
+    "s_decoder2": (4, "latent_dim", "d1", Mlp),
+    "regressor": (5, "latent_dim", None, GruRegressor),
+}
+# the blocks a deployment export keeps: predict runs W_E then R
+DEPLOYED = ("w_encoder", "regressor")
+# feature scaler -> the SewConfig width it standardizes, in model-file
+# order; a deployment keeps the one predict applies, on d2
+SCALERS = {"scaler_weak": "d2", "scaler_strong": "d1"}
+
+
 class SewModel:
     """The assembled transfer model.
 
@@ -208,25 +216,11 @@ class SewModel:
     exports so predict() reproduces training-time evaluation exactly.
     """
 
-    def __init__(
-        self,
-        latent_dim: int,
-        d1: int,
-        d2: int,
-        w_encoder: Mlp,
-        regressor: GruRegressor,
-        s_decoder1: Mlp | None = None,
-        s_encoder: Mlp | None = None,
-        s_decoder2: Mlp | None = None,
-    ):
-        self.latent_dim = int(latent_dim)
-        self.d1 = int(d1)
-        self.d2 = int(d2)
-        self.w_encoder = w_encoder
-        self.regressor = regressor
-        self.s_decoder1 = s_decoder1
-        self.s_encoder = s_encoder
-        self.s_decoder2 = s_decoder2
+    def __init__(self, latent_dim: int, d1: int, d2: int, w_encoder, regressor,
+                 s_decoder1=None, s_encoder=None, s_decoder2=None):
+        self.latent_dim, self.d1, self.d2 = int(latent_dim), int(d1), int(d2)
+        self.w_encoder, self.regressor = w_encoder, regressor
+        self.s_decoder1, self.s_encoder, self.s_decoder2 = s_decoder1, s_encoder, s_decoder2
         self.scaler_strong: Standardizer | None = None
         self.scaler_weak: Standardizer | None = None
 
@@ -279,8 +273,7 @@ def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
     widths = {"latent_dim": int(config.latent_dim), "d1": d1, "d2": d2}
     built = {}
     for name in config.blocks:
-        stream, source, _ = BLOCKS[name]
-        cls = GruRegressor if name == "regressor" else Mlp
+        stream, source, _, cls = BLOCKS[name]
         built[name] = cls(getattr(config, name), widths[source], make_rng(seed, stream))
     return SewModel(widths["latent_dim"], d1, d2, **built)
 
@@ -304,10 +297,8 @@ def _npy_bytes(arr: Matrix) -> bytes:
     return buf.getvalue()
 
 
-def _block_meta(block) -> dict:
-    if isinstance(block, Mlp):
-        return {"type": "mlp", "layer_sizes": list(block.spec.layer_sizes), "input_dim": block.input_dim}
-    return {"type": "gru_regressor", **asdict(block.spec), "input_dim": block.input_dim}
+def _block_meta(name: str, block) -> dict:
+    return {"type": BLOCKS[name][3].TYPE, **asdict(block.spec), "input_dim": block.input_dim}
 
 
 def save_model(model: SewModel, path, deployment: bool = False) -> None:
@@ -321,7 +312,7 @@ def save_model(model: SewModel, path, deployment: bool = False) -> None:
         "latent_dim": model.latent_dim,
         "d1": model.d1,
         "d2": model.d2,
-        "blocks": {name: _block_meta(block) for name, block in kept},
+        "blocks": {name: _block_meta(name, block) for name, block in kept},
         "scalers": [],
     }
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
@@ -356,17 +347,27 @@ def _read_npy(zf: zipfile.ZipFile, path, name: str) -> Matrix:
     return stored
 
 
-def _rebuild_block(path, info):
-    """An all-zero block of the shape `info` (one entry of meta.json's
-    "blocks") describes."""
+def _meta_int(path, key: str, value):
+    """A meta.json width or count, or a list of them: JSON integers, as in a config."""
+    if type(value) is list:
+        return [_meta_int(path, f"{key}[{i}]", v) for i, v in enumerate(value)]
+    if type(value) is not int:
+        raise ExportError(f"{path}: meta.json {key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _rebuild_block(path, name: str, info):
+    """An all-zero block `name` of the shape `info`, its meta.json entry,
+    describes. `BLOCKS` gives its class; a stored "type" that disagrees is
+    refused."""
+    key, cls = f"blocks.{name}", BLOCKS[name][3]
     if not isinstance(info, dict):
-        raise ExportError(f"{path}: a meta.json block entry must be a JSON object, got {info!r}")
-    if info["type"] == "mlp":
-        return Mlp(MlpSpec(tuple(info["layer_sizes"])), info["input_dim"], None)
-    if info["type"] == "gru_regressor":
-        spec = GruRegressorSpec(**{f.name: info[f.name] for f in fields(GruRegressorSpec)})
-        return GruRegressor(spec, info["input_dim"], None)
-    raise ExportError(f"{path}: unknown block type {info['type']!r}")
+        raise ExportError(f"{path}: meta.json {key} must be a JSON object, got {info!r}")
+    if info["type"] != cls.TYPE:
+        raise ExportError(f"{path}: meta.json {key}.type must be {json.dumps(cls.TYPE)}, "
+                          f"got {json.dumps(info['type'])}")
+    spec = cls.SPEC(**{f.name: _meta_int(path, f"{key}.{f.name}", info[f.name]) for f in fields(cls.SPEC)})
+    return cls(spec, _meta_int(path, f"{key}.input_dim", info["input_dim"]), None)
 
 
 def load_model(path) -> SewModel:
@@ -385,8 +386,9 @@ def load_model(path) -> SewModel:
             raise ExportError(f"{path}: meta.json is not valid JSON ({err})") from None
         if not isinstance(meta, dict):
             raise ExportError(f"{path}: meta.json must be a JSON object")
-        if meta.get("format_version") not in _READABLE_FORMATS:
-            raise ExportError(f"{path}: unsupported model format {meta.get('format_version')!r}")
+        version = meta.get("format_version")
+        if type(version) is not int or version not in _READABLE_FORMATS:
+            raise ExportError(f"{path}: unsupported model format {version!r}")
         try:
             blocks = meta["blocks"]
             if not isinstance(blocks, dict):
@@ -394,18 +396,18 @@ def load_model(path) -> SewModel:
             for required in DEPLOYED:
                 if blocks.get(required) is None:
                     raise KeyError(required)
-            built = {name: _rebuild_block(path, blocks[name]) for name in BLOCKS if blocks.get(name) is not None}
+            widths = {key: _meta_int(path, key, meta[key]) for key in ("latent_dim", "d1", "d2")}
+            built = {name: _rebuild_block(path, name, blocks[name]) for name in BLOCKS if blocks.get(name) is not None}
             # an "ablation" key, which older files hold, is not read
-            model = SewModel(meta["latent_dim"], meta["d1"], meta["d2"], **built)
+            model = SewModel(**widths, **built)
             scalers = list(meta["scalers"])
         except KeyError as err:
             raise ExportError(f"{path}: meta.json lacks required key {err.args[0]!r}") from None
         except (TypeError, ValueError, ConfigError) as err:
             raise ExportError(f"{path}: meta.json is malformed ({err})") from None
         # every width against the field `BLOCKS` and `SCALERS` name for it
-        widths = {"latent_dim": model.latent_dim, "d1": model.d1, "d2": model.d2}
         for name, block in model.blocks():
-            _, source, target = BLOCKS[name]
+            _, source, target, _ = BLOCKS[name]
             if block.input_dim != widths[source]:
                 raise ExportError(f"{path}: meta.json {source} is {widths[source]}, "
                                   f"but blocks.{name}.input_dim is {block.input_dim}")

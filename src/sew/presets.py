@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .data import SyntheticSpec
 from .errors import ConfigError
 from .networks import GruRegressorSpec, MlpSpec
-from .training import SewConfig, with_variant
+from .training import SewConfig
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ def desk_spec(seed: int = 4, **overrides) -> SyntheticSpec:
     return SyntheticSpec(seed=seed, **overrides)
 
 
-def desk_config(seed: int = 0, ablation: str = "full", **overrides) -> SewConfig:
+def desk_config(seed: int = 0, **overrides) -> SewConfig:
     """Training config sized for desk_spec data; small enough that a full
-    run finishes in seconds. `ablation` names a variant (`with_variant`)."""
+    run finishes in seconds."""
     defaults = dict(
         latent_dim=8,
         d1=32,
@@ -90,4 +90,4 @@ def desk_config(seed: int = 0, ablation: str = "full", **overrides) -> SewConfig
         shift_seconds=0.0,
     )
     defaults.update(overrides)
-    return with_variant(SewConfig(**defaults), ablation)
+    return SewConfig(**defaults)

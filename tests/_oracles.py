@@ -10,7 +10,8 @@ import weakref
 
 import numpy as np
 
-from sew.errors import ConditioningError, ConfigError, DataError, DimensionError
+from sew.autodiff import Node, _result, sigmoid_value
+from sew.errors import ConditioningError, ConfigError, DataError, DimensionError, NumericError
 
 
 def fd_gradients(build_loss, params, h=1e-5):
@@ -53,6 +54,72 @@ def masked_sigmoid(v):
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
     return out
+
+
+# --- elementary autodiff ops ----------------------------------------------
+# The reference each fused op in sew.autodiff (`tanh_affine`, `gated`,
+# `weighted_sum`) is held to byte for byte: one graph node per elementwise
+# step, built through the library's own `_result` so constants stay
+# constants.
+
+
+def elementwise_add(a: Node, b: Node) -> Node:
+    if a.value.shape != b.value.shape:
+        raise DimensionError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
+
+    def backward(grad):
+        if a.grad is not None:
+            a.grad += grad
+        if b.grad is not None:
+            b.grad += grad
+
+    return _result(a.value + b.value, (a, b), backward)
+
+
+def elementwise_mul(a: Node, b: Node) -> Node:
+    if a.value.shape != b.value.shape:
+        raise DimensionError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
+
+    def backward(grad):
+        if a.grad is not None:
+            a.grad += grad * b.value
+        if b.grad is not None:
+            b.grad += grad * a.value
+
+    return _result(a.value * b.value, (a, b), backward)
+
+
+# the unary ops below need no check on their input's grad: an output that
+# has a backward has its one parent, and that parent carries a grad
+
+
+def scalar_mul(x: Node, c: float) -> Node:
+    c = float(c)
+    if not np.isfinite(c):
+        raise NumericError("scalar_mul: scalar is not finite")
+
+    def backward(grad):
+        x.grad += c * grad
+
+    return _result(c * x.value, (x,), backward)
+
+
+def tanh(x: Node) -> Node:
+    value = np.tanh(x.value)
+
+    def backward(grad):
+        x.grad += grad * (1.0 - value * value)
+
+    return _result(value, (x,), backward)
+
+
+def sigmoid(x: Node) -> Node:
+    value = sigmoid_value(x.value)
+
+    def backward(grad):
+        x.grad += grad * value * (1.0 - value)
+
+    return _result(value, (x,), backward)
 
 
 def classical_cca_oracle(x, y, k: int, r1: float = 0.0, r2: float = 0.0) -> np.ndarray:

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import fd_gradients, intermediate_refs, masked_sigmoid, rel_errors
+from _oracles import (
+    elementwise_add,
+    elementwise_mul,
+    fd_gradients,
+    intermediate_refs,
+    masked_sigmoid,
+    rel_errors,
+    scalar_mul,
+    sigmoid,
+    tanh,
+)
 from sew.autodiff import (
     _CHUNK,
     Node,
@@ -15,15 +25,10 @@ from sew.autodiff import (
     as_matrix,
     backward,
     constant,
-    elementwise_add,
-    elementwise_mul,
     gated,
     make_rng,
     mse_loss,
-    scalar_mul,
-    sigmoid,
     sum_all,
-    tanh,
     tanh_affine,
     uniform_init,
     weighted_sum,

@@ -254,8 +254,7 @@ class TestAblateCommand:
         data = small_dataset(tmp_path)
         cfg = small_config(tmp_path, epochs=1)
         out = tmp_path / "ablate"
-        assert run("ablate", "--data", data, "--out", out, "--config", cfg,
-                   "--plot-data") == 0
+        assert run("ablate", "--data", data, "--out", out, "--config", cfg) == 0
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[1] == "ablation,label,dev_ccc,dev_acc,terms"
         body = [line.split(",") for line in lines[2:]]
@@ -265,7 +264,6 @@ class TestAblateCommand:
             "full", "-S_D2", "-CCA", "-S_D1", "-(CCA&S_D1)", "unimodal"]
         for variant in ("full", "unimodal"):
             assert (out / variant / "metrics.csv").exists()
-            assert (out / "plots" / f"{variant}.dat").exists()
         assert [row[4] for row in body] == [
             "l1+l2+l3+l4", "l1+l3+l4", "l1+l4", "l2+l3+l4", "l4", "l4"]
         table = capsys.readouterr().out
@@ -284,7 +282,7 @@ class TestAblateCommand:
         data = small_dataset(tmp_path)
         cfg = small_config(tmp_path, alpha=0.0)
         out = tmp_path / "ablate"
-        assert run("ablate", "--data", data, "--out", out, "--config", cfg, "--plot-data") == 0
+        assert run("ablate", "--data", data, "--out", out, "--config", cfg) == 0
         assert calls == [(0.0, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]  # full, no_sd2, no_cca
         body = [line.split(",") for line in (out / "ablation.csv").read_text().splitlines()[2:]]
         terms = {row[1]: row[4] for row in body}
@@ -292,8 +290,7 @@ class TestAblateCommand:
                          "-S_D1": "l2+l3+l4", "-(CCA&S_D1)": "l4", "unimodal": "l4"}
         assert body[3][2:4] == body[0][2:4]  # -S_D1 reports full's run
         for shared, trained in (("no_sd1", "full"), ("no_cca_sd1", "no_cca"), ("unimodal", "no_cca")):
-            for path in ("{}/metrics.csv", "plots/{}.dat"):
-                assert (out / path.format(shared)).read_bytes() == (out / path.format(trained)).read_bytes()
+            assert (out / shared / "metrics.csv").read_bytes() == (out / trained / "metrics.csv").read_bytes()
         assert "  l2+l3+l4" in (out / "ablation.txt").read_text()
 
     def test_legacy_variant_key_zeroes_on_top(self, tmp_path, monkeypatch):
@@ -526,8 +523,19 @@ class TestBadInputs:
         (_scaler_of_width(4), "meta.json d2 is 5, but the scaler_weak members have shapes (4, 1) and (4, 1)"),
         (_edit_meta(lambda m: m.update(scalers=5)), "meta.json is malformed"),
         (_edit_meta(lambda m: m.update(scalers=[["x"]])), "unknown scaler ['x']"),
+        (_edit_meta(lambda m: m["blocks"].update(w_encoder=dict(m["blocks"]["regressor"], input_dim=5))),
+         'meta.json blocks.w_encoder.type must be "mlp", got "gru_regressor"'),
+        (_edit_meta(lambda m: m["blocks"]["regressor"].update(type="mlp")),
+         'meta.json blocks.regressor.type must be "gru_regressor", got "mlp"'),
+        (_edit_meta(lambda m: m.update(d2=5.9)), "meta.json d2 must be an integer, got 5.9"),
+        (_edit_meta(lambda m: m["blocks"]["w_encoder"].update(layer_sizes=[3.7])),
+         "meta.json blocks.w_encoder.layer_sizes[0] must be an integer, got 3.7"),
+        (_edit_meta(lambda m: m.update(latent_dim=True)), "meta.json latent_dim must be an integer, got true"),
+        (_edit_meta(lambda m: m.update(format_version=2.0)), "unsupported model format 2.0"),
     ], ids=["truncated-zip", "wrong-shape-npy", "meta-d2", "meta-regressor-input", "meta-regressor-output",
-            "meta-d1", "scaler-weak-width", "meta-scalers-not-a-list", "meta-scaler-not-a-name"])
+            "meta-d1", "scaler-weak-width", "meta-scalers-not-a-list", "meta-scaler-not-a-name",
+            "w-encoder-typed-gru", "regressor-typed-mlp", "meta-d2-fraction", "layer-size-fraction",
+            "meta-latent-dim-bool", "format-version-float"])
     def test_model_file(self, tmp_path, capsys, damage, fragment):
         model = untrained_model(tmp_path)
         damage(model)

@@ -257,7 +257,7 @@ class TestSewLoss:
         and one sum over the terms: `full` has 11 layers (W_E 2, R 3, S_E 2,
         S_D1 2, S_D2 2), four terms and the sum; `unimodal` has W_E, R and
         the prediction term alone."""
-        cfg = desk_config(ablation=ablation)
+        cfg = with_variant(desk_config(), ablation)
         model = assemble_sew(cfg, cfg.d1, cfg.d2, seed=0)
         rng = make_rng(0, 92)
         batch = Dataset(rng.standard_normal((32, 32)), rng.standard_normal((16, 32)), rng.uniform(-1, 1, (1, 32)))
