@@ -26,6 +26,7 @@ from .data import (
     Dataset,
     SyntheticSpec,
     apply_shift,
+    check_json_fields,
     generate_synthetic,
     load_csv,
     load_features,
@@ -40,7 +41,6 @@ from .training import (
     ABLATIONS,
     _read_json_object,
     build_from_file,
-    check_json_fields,
     export_deployment,
     format_ablation_table,
     load_config,
@@ -59,11 +59,18 @@ _SPLIT_FILES = {
 }
 
 
-def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_seconds: float) -> Dataset:
+def _load_split(data_dir: Path, split: str, shift_seconds: float | None, frame_step_seconds: float) -> Dataset:
     strong_f, weak_f, labels_f = (data_dir / name for name in _SPLIT_FILES[split])
     for path in (strong_f, weak_f, labels_f):
         if not path.exists():
             raise DataError(f"{data_dir} is missing {path.name}")
+    meta_path = data_dir / "dataset.json"
+    meta = _read_json_object(meta_path, DataError) if meta_path.exists() else {}
+    pending = meta.get("shift_pending", False)
+    if not isinstance(pending, bool):
+        raise DataError(f"{meta_path}: shift_pending must be true or false, got {json.dumps(pending)}")
+    if pending and shift_seconds is None:
+        raise ConfigError(f"{meta_path} sets shift_pending: give --shift-seconds, the shift training applied")
     strong = load_features(strong_f)
     weak = load_features(weak_f)
     labels = load_labels(labels_f)
@@ -71,11 +78,6 @@ def _load_split(data_dir: Path, split: str, shift_seconds: float, frame_step_sec
         if frames.shape[1] != labels.shape[1]:
             raise DataError(f"{data_dir} ({split} split): {path.name} has {frames.shape[1]} frames "
                             f"but {labels_f.name} has {labels.shape[1]}")
-    meta_path = data_dir / "dataset.json"
-    meta = _read_json_object(meta_path, DataError) if meta_path.exists() else {}
-    pending = meta.get("shift_pending", False)
-    if not isinstance(pending, bool):
-        raise DataError(f"{meta_path}: shift_pending must be true or false, got {json.dumps(pending)}")
     try:
         if pending and shift_seconds > 0:
             strong, _ = apply_shift(strong, labels, shift_seconds, frame_step_seconds)
@@ -91,13 +93,6 @@ def _resolve_config(args):
     config = load_config(args.config, seed) if args.config else desk_config(**seed)
     # the variant zeroes its loss weights on top of the config's
     return with_variant(config, getattr(args, "ablation", "full")), args.config or None
-
-
-def _dataset_fingerprint(train_set: Dataset, dev_set: Dataset) -> str:
-    h = hashlib.sha256()
-    h.update(train_set.fingerprint().encode())
-    h.update(dev_set.fingerprint().encode())
-    return h.hexdigest()
 
 
 def _write_manifest(out_dir: Path, config, config_path, fingerprint: str) -> str:
@@ -162,7 +157,8 @@ def _prepare_run(args):
     dev_set = _load_split(data_dir, "dev", config.shift_seconds, config.frame_step_seconds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run_hash = _write_manifest(out, config, config_path, _dataset_fingerprint(train_set, dev_set))
+    fingerprint = hashlib.sha256((train_set.fingerprint() + dev_set.fingerprint()).encode()).hexdigest()
+    run_hash = _write_manifest(out, config, config_path, fingerprint)
     config.save(out / "config.json")
     return config, train_set, dev_set, out, run_hash
 
@@ -226,7 +222,7 @@ def cmd_eval(args) -> int:
             if not (args.features and args.labels):
                 raise ConfigError("--features and --labels go together")
             feats, truth = apply_shift(*load_csv(args.features, args.labels),
-                                       args.shift_seconds, args.frame_step_seconds)
+                                       args.shift_seconds or 0.0, args.frame_step_seconds)
             _check_frames(f"{args.features}, {args.labels}", truth)
         preds = model.predict(feats)
         if args.pred_out:
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="truth CSV (with --pred: score without a model)")
     p.add_argument("--pred", help="prediction CSV")
     p.add_argument("--pred-out", help="write model predictions to this CSV")
-    p.add_argument("--shift-seconds", type=float, default=0.0)
+    p.add_argument("--shift-seconds", type=float, help="required with --data on a shift_pending dataset")
     p.add_argument("--frame-step-seconds", type=float, default=0.04)
     p.add_argument("--sample-variance", action="store_true",
                    help="use n-1 estimators inside the concordance metric")

@@ -18,10 +18,13 @@ is refused with the first line that does not decode.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import json
 import math
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +37,39 @@ _STREAM_TRAIN = 12
 _STREAM_DEV = 13
 
 LABEL_TOL = 1e-9
+
+# field type -> (whether a value in its saved, JSON form fits it, its name in
+# messages), for configs, specs and model files however built; a spec class
+# carries its own entry as `JSON_KIND`
+_JSON_KINDS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: (type(v) is int or isinstance(v, float)) and math.isfinite(v), "a finite number"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    type(None): (lambda v: v is None, "null"),
+}
+
+_hints = functools.cache(typing.get_type_hints)  # built once per class
+
+
+def check_json_fields(cls, raw: dict, what: str) -> None:
+    """Raise ConfigError, naming `what` and the key, unless every key of
+    `raw` is a field of the dataclass `cls` whose type (`_JSON_KINDS`, or
+    null if optional) fits its saved value; nested objects likewise."""
+    hints = _hints(cls)
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    for key, value in raw.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        rules = [_JSON_KINDS.get(kind) or kind.JSON_KIND for kind in kinds]
+        if not any(test(value) for test, _ in rules):
+            try:
+                shown = json.dumps(value)
+            except TypeError:  # built in Python, of a type JSON has no form for
+                shown = repr(value)
+            raise ConfigError(f"{what} key {key!r} must be {' or '.join(name for _, name in rules)}, got {shown}")
+        if type(value) is dict:  # only a spec's object, never optional
+            check_json_fields(hints[key], value, key)
 
 
 class Dataset:
@@ -109,6 +145,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_json_fields(SyntheticSpec, asdict(self), "dataset")
         if min(self.latent_dim, self.d1, self.d2) < 1:
             raise ConfigError("latent_dim, d1, d2 must all be >= 1")
         if self.noise_strong < 0 or self.noise_weak < 0:

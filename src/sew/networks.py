@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Matrix, Node, as_2d, make_rng, uniform_init
-from .data import Standardizer
+from .data import _JSON_KINDS, Standardizer, check_json_fields
 from .errors import ConfigError, DimensionError, ExportError, NumericError
 
 # 2: the regressor's layers hold no recurrent or reset-gate weights. A
@@ -45,10 +45,13 @@ class MlpSpec:
     """Layer widths of one encoder or decoder; tanh between layers only."""
 
     layer_sizes: tuple[int, ...]
+    JSON_KIND = (lambda v: type(v) is list and all(map(_JSON_KINDS[int][0], v)), "a list of integers")
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
+        if not self.JSON_KIND[0](list(sizes)):
+            raise ConfigError(f"layer_sizes must be {self.JSON_KIND[1]}, got {list(sizes)}")
         if not sizes:
             raise ConfigError("MlpSpec needs at least one layer")
         if any(s < 1 for s in sizes):
@@ -64,8 +67,10 @@ class GruRegressorSpec:
     num_layers: int = 4
     hidden: int = 120
     output: int = 1
+    JSON_KIND = (lambda v: type(v) is dict, "an object")
 
     def __post_init__(self):
+        check_json_fields(GruRegressorSpec, asdict(self), "regressor")
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.hidden < 1:
@@ -103,8 +108,8 @@ class Mlp:
         if input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {input_dim}")
         self.spec = spec
-        self.input_dim = int(input_dim)
-        dims = (self.input_dim,) + spec.layer_sizes
+        self.input_dim = input_dim
+        dims = (input_dim,) + spec.layer_sizes
         self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(spec.layer_sizes))]
 
     @property
@@ -168,9 +173,8 @@ class GruRegressor:
 
     def __init__(self, spec: GruRegressorSpec, input_dim: int, rng):
         self.spec = spec
-        self.input_dim = int(input_dim)
+        self.input_dim = in_dim = input_dim
         self.cells = []
-        in_dim = self.input_dim
         for _ in range(spec.num_layers):
             self.cells.append(GatedLayer(in_dim, spec.hidden, rng))
             in_dim = spec.hidden
@@ -218,7 +222,7 @@ class SewModel:
 
     def __init__(self, latent_dim: int, d1: int, d2: int, w_encoder, regressor,
                  s_decoder1=None, s_encoder=None, s_decoder2=None):
-        self.latent_dim, self.d1, self.d2 = int(latent_dim), int(d1), int(d2)
+        self.latent_dim, self.d1, self.d2 = latent_dim, d1, d2
         self.w_encoder, self.regressor = w_encoder, regressor
         self.s_decoder1, self.s_encoder, self.s_decoder2 = s_decoder1, s_encoder, s_decoder2
         self.scaler_strong: Standardizer | None = None
@@ -270,7 +274,7 @@ def assemble_sew(config, d1: int, d2: int, seed: int) -> SewModel:
     here): it supplies latent_dim, the block set, and the block
     specs (MlpSpec; GruRegressorSpec for the regressor).
     """
-    widths = {"latent_dim": int(config.latent_dim), "d1": d1, "d2": d2}
+    widths = {"latent_dim": config.latent_dim, "d1": d1, "d2": d2}
     built = {}
     for name in config.blocks:
         stream, source, _, cls = BLOCKS[name]
@@ -351,7 +355,7 @@ def _meta_int(path, key: str, value):
     """A meta.json width or count, or a list of them: JSON integers, as in a config."""
     if type(value) is list:
         return [_meta_int(path, f"{key}[{i}]", v) for i, v in enumerate(value)]
-    if type(value) is not int:
+    if not _JSON_KINDS[int][0](value):
         raise ExportError(f"{path}: meta.json {key} must be an integer, got {json.dumps(value)}")
     return value
 
@@ -387,7 +391,7 @@ def load_model(path) -> SewModel:
         if not isinstance(meta, dict):
             raise ExportError(f"{path}: meta.json must be a JSON object")
         version = meta.get("format_version")
-        if type(version) is not int or version not in _READABLE_FORMATS:
+        if not _JSON_KINDS[int][0](version) or version not in _READABLE_FORMATS:
             raise ExportError(f"{path}: unsupported model format {version!r}")
         try:
             blocks = meta["blocks"]

@@ -6,8 +6,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Sgd, make_rng
-from .data import Dataset, batcher, standardize_dataset
+from .data import Dataset, batcher, check_json_fields, standardize_dataset
 from .dcca import cca_correlation
 from .errors import ConditioningError, ConfigError, DataError, NumericError
 from .networks import BLOCKS, GruRegressorSpec, MlpSpec, SewModel, assemble_sew, save_model
@@ -77,6 +75,12 @@ class SewConfig:
     shift_seconds: float = 2.4
 
     def __post_init__(self):
+        saved = self.to_dict()
+        check_json_fields(SewConfig, saved, "config")
+        # a block spec given in its saved form, as a config file holds it
+        for key, value in saved.items():
+            if type(getattr(self, key)) in (list, dict):
+                object.__setattr__(self, key, MlpSpec(value) if type(value) is list else GruRegressorSpec(**value))
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ConfigError("loss weights alpha, beta, gamma must be >= 0")
         if not 1 <= self.k <= self.latent_dim:
@@ -150,11 +154,6 @@ def config_from_dict(raw: dict) -> SewConfig:
     variant = merged.pop("ablation", "full")
     check_json_fields(SewConfig, merged, "config")
     merged.update(_zeroed_weights(variant))
-    for key, value in merged.items():
-        if isinstance(value, list):
-            merged[key] = MlpSpec(tuple(value))
-        elif isinstance(value, dict):
-            merged[key] = GruRegressorSpec(**value)
     try:
         return SewConfig(**merged)
     except TypeError as err:
@@ -188,34 +187,6 @@ def build_from_file(build, path, overrides: dict):
             except ConfigError as err:
                 raise ConfigError(f"{path}: {err}") from None
         raise
-
-
-# field type -> (whether a parsed JSON value fits it, its name in messages)
-_JSON_KINDS = {
-    int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
-    bool: (lambda v: type(v) is bool, "true or false"),
-    type(None): (lambda v: v is None, "null"),
-    MlpSpec: (lambda v: type(v) is list and all(type(s) is int for s in v), "a list of integers"),
-    GruRegressorSpec: (lambda v: type(v) is dict, "an object"),
-}
-
-
-def check_json_fields(cls, raw: dict, what: str) -> None:
-    """Raise ConfigError, naming `what` and the key, unless every key of
-    `raw` is a field of the dataclass `cls` whose type (`_JSON_KINDS`, or
-    null if optional) fits its parsed-JSON value; nested objects likewise."""
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(raw) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
-    for key, value in raw.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        if not any(_JSON_KINDS[kind][0](value) for kind in kinds):
-            wanted = " or ".join(_JSON_KINDS[kind][1] for kind in kinds)
-            raise ConfigError(f"{what} key {key!r} must be {wanted}, got {json.dumps(value)}")
-        if type(value) is dict:
-            check_json_fields(GruRegressorSpec, value, key)
 
 
 def load_config(path, overrides: dict | None = None) -> SewConfig:
@@ -323,17 +294,6 @@ def sew_loss(model: SewModel, batch: Dataset, config: SewConfig, cca_batch: Data
     return total, components
 
 
-def _snapshot(model: SewModel) -> dict:
-    return {name: p.value.copy() for name, p in model.named_parameters()}
-
-
-def _restore(model: SewModel, snap: dict) -> None:
-    # in place: the arrays are views into the optimizer's buffers
-    for name, p in model.named_parameters():
-        p.value[...] = snap[name]
-        p.zero_grad()
-
-
 def _dev_eval(model: SewModel, dev_std: Dataset, config: SewConfig, epoch: int) -> metrics.EvalResult:
     # deployment path only: the stronger modality must never leak into
     # model selection. It runs on the trained arrays and builds no graph.
@@ -369,7 +329,8 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
     history: list[EpochReport] = []
     best_ccc = -np.inf
     best_epoch = -1
-    best_params = _snapshot(model)
+    # the parameters' arrays are views into this one buffer
+    best_values = opt._values.copy()
 
     for epoch in range(config.epochs):
         sums = {"e1": 0.0, "e2": 0.0, "e3": 0.0, "e4": 0.0}
@@ -405,12 +366,13 @@ def train(config: SewConfig, train_set: Dataset, dev_set: Dataset):
         if result.ccc > best_ccc:
             best_ccc = result.ccc
             best_epoch = epoch
-            best_params = _snapshot(model)
+            best_values = opt._values.copy()
         elif epoch - best_epoch >= config.patience:
             log.info("early stop at epoch %d (best dev ccc %.4f at epoch %d)",
                      epoch, best_ccc, best_epoch)
             break
-    _restore(model, best_params)
+    opt._values[...] = best_values
+    opt._grads.fill(0.0)  # not opt.zero_grad(), which begins a step
     return model, history
 
 

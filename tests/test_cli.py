@@ -1,5 +1,6 @@
 """End-to-end command tests, run in-process against tiny datasets."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -7,11 +8,15 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sew import training
 from sew.cli import main
-from sew.data import load_features, load_labels, write_csv
+from sew.data import SyntheticSpec, load_features, load_labels, write_csv
+from sew.errors import ConfigError
 from sew.networks import GruRegressorSpec, MlpSpec, assemble_sew, save_model
+from sew.presets import desk_config
 from sew.training import SewConfig, load_config, train
 
 
@@ -140,6 +145,77 @@ class TestGenData:
         cfg.write_text('{"noise_strong": 0.5}')
         assert run("gen-data", "--out", tmp_path / "c", "--config", cfg, "--noise-weak", 0.2) == 1
         assert capsys.readouterr().err == "error: noise_weak (0.2) must be >= noise_strong (0.5)\n"
+
+
+# field values of mixed Python types: JSON's own, numpy scalars, tuples,
+# non-finite floats and strings
+MIXED_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 64), st.floats(), st.text(max_size=2),
+    st.builds(np.int64, st.integers(0, 64)), st.builds(np.float64, st.floats(0, 2)),
+    st.builds(np.bool_, st.booleans()),
+    st.lists(st.one_of(st.integers(-1, 40), st.floats(0, 40)), max_size=3),
+    st.lists(st.integers(1, 40), min_size=1, max_size=3).map(tuple),
+    st.dictionaries(st.sampled_from(["num_layers", "hidden", "output", "width"]),
+                    st.one_of(st.integers(0, 20), st.floats(0, 20)), max_size=3),
+)
+
+
+def forms_of(saved):
+    """A saved field value as Python may give it: itself and other types
+    holding the same value."""
+    if type(saved) is bool:
+        return [saved, int(saved), np.bool_(saved)]
+    if type(saved) is int:
+        return [saved, float(saved), np.int64(saved), saved == 1]
+    if type(saved) is float:
+        return [saved, np.float64(saved), str(saved)]
+    if type(saved) is list:
+        return [saved, tuple(saved), MlpSpec(tuple(saved)), [float(s) for s in saved]]
+    if type(saved) is dict:
+        return [saved, GruRegressorSpec(**saved), {**saved, "hidden": float(saved["hidden"])}]
+    return [saved]
+
+
+DESK_FIELDS = desk_config().to_dict()
+SMALL_SPEC = dataclasses.asdict(SyntheticSpec(latent_dim=3, d1=6, d2=5, n_samples=100, n_dev=10))
+
+
+def mixed_overrides(data, saved, retyped, mixed):
+    """Fields of `saved` given as other types of their value, then
+    `mixed` on top."""
+    overrides = {key: data.draw(st.sampled_from(forms_of(saved[key])), key) for key in sorted(retyped)}
+    return {**overrides, **mixed}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), retyped=st.sets(st.sampled_from(sorted(DESK_FIELDS)), max_size=4),
+       mixed=st.dictionaries(st.sampled_from(sorted(DESK_FIELDS)), MIXED_VALUES, max_size=2))
+def test_config_builds_only_what_loads_back(tmp_path_factory, data, retyped, mixed):
+    """A config built in Python from values of any type is refused with a
+    ConfigError, or saves to a file that loads back equal."""
+    try:
+        cfg = desk_config(**mixed_overrides(data, DESK_FIELDS, retyped, mixed))
+    except ConfigError:
+        return
+    path = tmp_path_factory.mktemp("cfg") / "config.json"
+    cfg.save(path)
+    assert load_config(path) == cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), retyped=st.sets(st.sampled_from(sorted(SMALL_SPEC)), max_size=4),
+       mixed=st.dictionaries(st.sampled_from(sorted(SMALL_SPEC)), MIXED_VALUES, max_size=2))
+def test_spec_builds_only_what_gen_data_reads_back(tmp_path_factory, data, retyped, mixed):
+    """Likewise a dataset spec: what builds, `gen-data --config` reads back
+    as the same spec."""
+    try:
+        spec = SyntheticSpec(**{**SMALL_SPEC, **mixed_overrides(data, SMALL_SPEC, retyped, mixed)})
+    except ConfigError:
+        return
+    out = tmp_path_factory.mktemp("spec")
+    (out / "spec.json").write_text(json.dumps(dataclasses.asdict(spec)))
+    assert run("gen-data", "--out", out / "data", "--config", out / "spec.json") == 0
+    assert SyntheticSpec(**json.loads((out / "data" / "dataset.json").read_text())["spec"]) == spec
 
 
 class TestTrainCommand:
@@ -393,6 +469,23 @@ class TestEvalCommand:
                    "--features", data / "dev_weak.csv", "--labels", data / "dev_labels.csv",
                    "--shift-seconds", 0.4, "--frame-step-seconds", 0.04) == 0
         assert "n=30" in capsys.readouterr().out  # 40 frames minus a 10-frame shift
+
+    def test_pending_shift_needs_the_flag(self, tmp_path, capsys):
+        """On a shift_pending dataset, --data mode scores the pairs training
+        scored, and only when told the shift training applied."""
+        data = small_dataset(tmp_path, n_dev=100)
+        meta = json.loads((data / "dataset.json").read_text())
+        meta["shift_pending"] = True
+        (data / "dataset.json").write_text(json.dumps(meta))
+        out = tmp_path / "run"
+        assert run("train", "--data", data, "--out", out, "--config", small_config(tmp_path, shift_seconds=2.4)) == 0
+        best = max(float(line.split(",")[5]) for line in (out / "metrics.csv").read_text().splitlines()[2:])
+        capsys.readouterr()
+        assert run("eval", "--model", out / "model.npz", "--data", data) == 1
+        assert capsys.readouterr().err == (f"error: {data / 'dataset.json'} sets shift_pending: "
+                                           "give --shift-seconds, the shift training applied\n")
+        assert run("eval", "--model", out / "model.npz", "--data", data, "--shift-seconds", 2.4) == 0
+        assert capsys.readouterr().out.startswith(f"n=40 ccc={best:.6f} ")  # 100 frames less a 60-frame shift
 
     @pytest.mark.parametrize("mode", ["data", "features", "truth-pred"])
     def test_one_frame_input_is_named(self, tmp_path, capsys, mode):

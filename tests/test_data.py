@@ -96,6 +96,17 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             small_spec(seed=-1)
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("d1", 32.5, "32.5"), ("n_samples", 200.0, "200.0"), ("seed", True, "true"),
+        ("noise_weak", "1", '"1"'), ("latent_dim", np.int64(4), repr(np.int64(4))),
+    ])
+    def test_python_values_follow_the_file_rule(self, key, value, shown):
+        """Built in Python, a spec is checked as its `gen-data --config` file is."""
+        kind = "a finite number" if key == "noise_weak" else "an integer"
+        with pytest.raises(ConfigError) as exc:
+            small_spec(**{key: value})
+        assert str(exc.value) == f"dataset key {key!r} must be {kind}, got {shown}"
+
 
 class TestGenerateSynthetic:
     def test_shapes_and_label_range(self):

@@ -163,6 +163,52 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config key 'alpha' must be a finite number"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: desk_config(latent_dim=8.0), "config key 'latent_dim' must be an integer, got 8.0"),
+        (lambda: desk_config(k=8.0), "config key 'k' must be an integer, got 8.0"),
+        (lambda: desk_config(batch_size=32.0), "config key 'batch_size' must be an integer, got 32.0"),
+        (lambda: desk_config(epochs=True), "config key 'epochs' must be an integer, got true"),
+        (lambda: desk_config(seed=np.int64(3)), f"config key 'seed' must be an integer, got {np.int64(3)!r}"),
+        (lambda: desk_config(lr="0.1"), "config key 'lr' must be a finite number, got \"0.1\""),
+        (lambda: desk_config(w_encoder=(16, 8)), "config key 'w_encoder' must be a list of integers, got [16, 8]"),
+        (lambda: MlpSpec((16.9, 8)), "layer_sizes must be a list of integers, got [16.9, 8]"),
+        (lambda: GruRegressorSpec(hidden=16.5), "regressor key 'hidden' must be an integer, got 16.5"),
+    ], ids=["latent-dim-float", "k-float", "batch-size-float", "epochs-bool", "seed-numpy-int", "lr-string",
+            "w-encoder-tuple", "mlp-width-fraction", "gru-hidden-fraction"])
+    def test_python_built_values_follow_the_file_rule(self, build, message):
+        """A config built in Python is checked in the form it saves: no
+        truncation, and no value that its own file would be refused for."""
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("key, value", [
+        ("latent_dim", 8.0), ("epochs", True), ("lr", "0.1"), ("regressor", {"num_layers": 2, "hidden": 16.5}),
+        ("w_encoder", [16.9, 8]), ("cca_batch_size", 2.5), ("sample_variance_ccc", 0),
+    ])
+    def test_python_message_is_the_files(self, tmp_path, key, value):
+        with pytest.raises(ConfigError) as built:
+            desk_config(**{key: value})
+        raw = desk_config().to_dict()
+        raw[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as loaded:
+            load_config(path)
+        assert str(loaded.value) == f"{path}: {built.value}"
+
+    def test_numpy_float_rates_round_trip(self, tmp_path):
+        cfg = desk_config(lr=np.float64(0.01), momentum=np.float64(0.5))
+        path = tmp_path / "config.json"
+        cfg.save(path)
+        assert load_config(path) == cfg
+
+    def test_block_in_its_saved_form(self):
+        """A block spec may be given as its config-file form: it builds the spec."""
+        cfg = desk_config(w_encoder=[16, 8], regressor={"num_layers": 2, "hidden": 16})
+        assert cfg == desk_config()
+        assert cfg.w_encoder == MlpSpec((16, 8)) and cfg.regressor == GruRegressorSpec(num_layers=2, hidden=16)
+
     def test_active_terms_drop_zero_weights(self):
         assert active_terms(tiny_config()) == {"l1", "l2", "l3", "l4"}
         assert active_terms(tiny_config(beta=0.0)) == {"l1", "l3", "l4"}
