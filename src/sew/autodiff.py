@@ -23,7 +23,11 @@ graph at all: a block's `forward` takes the ops it calls as an argument,
 and `array_ops` holds its three layer ops on plain arrays. Each computes
 its value with the `*_value` function its graph op uses (`affine_value`,
 `tanh_affine_value`, `gated_value`), so one forward code gives the same
-bytes either way.
+bytes either way. A `*_value` function writes only into arrays it made
+itself, never into its inputs: the affine result takes its bias and then
+its tanh in place, the candidate takes the gate, and the sigmoid reuses
+its exp(-|v|) and makes its one divide in place, so a gated layer
+allocates 4 arrays, not the 12 of one new array per numpy call.
 
 Finiteness is checked where a value enters or leaves the graph, not after
 each op. A leaf (`Node`, `constant`) refuses NaN and Inf; `backward`
@@ -176,8 +180,9 @@ def _affine_backward(w: Node, x: Node, b: Node, grad: Matrix) -> None:
 
 def affine_value(w: Node, x: Matrix, b: Node) -> Matrix:
     """w @ x + b as a new array, from the values of the weight and bias
-    Nodes and the array x, whose shapes the caller has checked."""
-    value = w.value @ x
+    Nodes and the array x, whose shapes the caller has checked. np.dot
+    gives w @ x's bytes on 2-D operands, with less call overhead."""
+    value = np.dot(w.value, x)
     value += b.value
     return value
 
@@ -190,10 +195,17 @@ def affine(w: Node, x: Node, b: Node) -> Node:
 
 def sigmoid_value(v: Matrix) -> Matrix:
     """1 / (1 + exp(-v)) for v >= 0 and exp(v) / (1 + exp(v)) below, so
-    that exp never overflows; both forms are computed from exp(-|v|)."""
-    e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    that exp never overflows. With e = exp(-|v|) both forms are n / (1 + e),
+    one divide, where n = max(sign(v), e) is 1.0 for v >= 0 (e <= 1 there,
+    and e == 1 at v == 0) and e below; a NaN stays NaN. v is not written."""
+    e = np.abs(v)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    n = np.sign(v)
+    np.maximum(n, e, out=n)
+    e += 1.0
+    n /= e
+    return n
 
 
 # --- fused ops -------------------------------------------------------------
@@ -207,7 +219,8 @@ def sigmoid_value(v: Matrix) -> Matrix:
 
 def tanh_affine_value(w: Node, x: Matrix, b: Node) -> Matrix:
     """tanh(w @ x + b), computed as tanh(affine(w, x, b)) computes it."""
-    return np.tanh(affine_value(w, x, b))
+    value = affine_value(w, x, b)
+    return np.tanh(value, out=value)
 
 
 def tanh_affine(w: Node, x: Node, b: Node) -> Node:
@@ -228,7 +241,8 @@ def _gate_and_candidate(w_z: Node, b_z: Node, w_h: Node, b_h: Node, x: Matrix) -
 def gated_value(w_z: Node, b_z: Node, w_h: Node, b_h: Node, x: Matrix) -> Matrix:
     """sigmoid(w_z @ x + b_z) * tanh(w_h @ x + b_h)."""
     z, cand = _gate_and_candidate(w_z, b_z, w_h, b_h, x)
-    return z * cand
+    cand *= z
+    return cand
 
 
 def gated(w_z: Node, b_z: Node, w_h: Node, b_h: Node, x: Node) -> Node:

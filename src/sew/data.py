@@ -24,7 +24,7 @@ import json
 import math
 import typing
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,14 +51,19 @@ _JSON_KINDS = {
 _hints = functools.cache(typing.get_type_hints)  # built once per class
 
 
+def _refuse_unknown_keys(keys, known, what: str) -> None:
+    # str(): a dict built in Python may have keys of any type
+    unknown = sorted(str(k) for k in keys if k not in known)
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
 def check_json_fields(cls, raw: dict, what: str) -> None:
     """Raise ConfigError, naming `what` and the key, unless every key of
     `raw` is a field of the dataclass `cls` whose type (`_JSON_KINDS`, or
     null if optional) fits its saved value; nested objects likewise."""
     hints = _hints(cls)
-    unknown = sorted(set(raw) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    _refuse_unknown_keys(raw, hints, what)
     for key, value in raw.items():
         kinds = typing.get_args(hints[key]) or (hints[key],)
         rules = [_JSON_KINDS.get(kind) or kind.JSON_KIND for kind in kinds]
@@ -70,6 +75,23 @@ def check_json_fields(cls, raw: dict, what: str) -> None:
             raise ConfigError(f"{what} key {key!r} must be {' or '.join(name for _, name in rules)}, got {shown}")
         if type(value) is dict:  # only a spec's object, never optional
             check_json_fields(hints[key], value, key)
+
+
+def keys_checked(what: str):
+    """Class decorator for a config dataclass: a keyword argument that is
+    none of its fields raises the ConfigError that `check_json_fields`
+    raises for such a key in a file, not Python's TypeError."""
+    def decorate(cls):
+        init, names = cls.__init__, {f.name for f in fields(cls)}
+
+        @functools.wraps(init)
+        def __init__(self, *args, **kwargs):
+            _refuse_unknown_keys(kwargs, names, what)
+            init(self, *args, **kwargs)
+
+        cls.__init__ = __init__
+        return cls
+    return decorate
 
 
 class Dataset:
@@ -121,6 +143,7 @@ class Dataset:
 ModalityBatch = Dataset  # kept because perfbench/workloads.py imports this name
 
 
+@keys_checked("dataset")
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a desk-scale correlated two-modality dataset.
@@ -391,6 +414,11 @@ class Standardizer:
         x = as_2d(x, "standardizer input")
         if x.shape[0] != self.mean.shape[0]:
             raise DimensionError(f"standardizer fit on {self.mean.shape[0]} dims, got {x.shape[0]}")
+        return self.apply_unchecked(x, order)
+
+    def apply_unchecked(self, x: Matrix, order: str = "C") -> Matrix:
+        """`apply` on a 2-D float64 array whose width the caller has checked
+        against the scaler's: the same bytes, with no coercion or check."""
         out = np.subtract(x, self.mean, order=order)
         out /= self.scale
         return out

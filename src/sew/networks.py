@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Matrix, Node, as_2d, make_rng, uniform_init
-from .data import _JSON_KINDS, Standardizer, check_json_fields
+from .data import _JSON_KINDS, Standardizer, check_json_fields, keys_checked
 from .errors import ConfigError, DimensionError, ExportError, NumericError
 
 # 2: the regressor's layers hold no recurrent or reset-gate weights. A
@@ -40,18 +41,21 @@ FORMAT_VERSION = 2
 _READABLE_FORMATS = (1, 2)
 
 
+@keys_checked("MlpSpec")
 @dataclass(frozen=True)
 class MlpSpec:
-    """Layer widths of one encoder or decoder; tanh between layers only."""
+    """Layer widths of one encoder or decoder (a list or tuple of
+    integers); tanh between layers only."""
 
     layer_sizes: tuple[int, ...]
     JSON_KIND = (lambda v: type(v) is list and all(map(_JSON_KINDS[int][0], v)), "a list of integers")
 
     def __post_init__(self):
-        sizes = tuple(self.layer_sizes)
+        sizes = list(self.layer_sizes) if isinstance(self.layer_sizes, (list, tuple)) else self.layer_sizes
+        if not self.JSON_KIND[0](sizes):
+            raise ConfigError(f"layer_sizes must be {self.JSON_KIND[1]}, got {sizes!r}")
+        sizes = tuple(sizes)
         object.__setattr__(self, "layer_sizes", sizes)
-        if not self.JSON_KIND[0](list(sizes)):
-            raise ConfigError(f"layer_sizes must be {self.JSON_KIND[1]}, got {list(sizes)}")
         if not sizes:
             raise ConfigError("MlpSpec needs at least one layer")
         if any(s < 1 for s in sizes):
@@ -62,6 +66,7 @@ class MlpSpec:
         return self.layer_sizes[-1]
 
 
+@keys_checked("regressor")
 @dataclass(frozen=True)
 class GruRegressorSpec:
     num_layers: int = 4
@@ -251,16 +256,19 @@ class SewModel:
     def predict(self, m_w) -> Matrix:
         """Predict labels from raw (unstandardized) weaker-modality features.
 
-        Finiteness is checked once on the way in, on the standardized frame
-        the model reads, and once on the way out: NumericError if either
-        holds NaN or Inf.
+        The frame is coerced to a 2-D float64 array once, and its width
+        checked before the scaler reads it. Finiteness is checked once on
+        the way in, on the standardized frame the model reads, and once on
+        the way out: NumericError if either holds NaN or Inf.
         """
-        m_w = as_2d(m_w, "m_w")
-        if m_w.shape[0] != self.d2:
-            raise DimensionError(f"expected {self.d2}-d weaker features, got {m_w.shape[0]} rows")
+        x = as_2d(m_w, "m_w")
+        if x.shape[0] != self.d2:
+            raise DimensionError(f"expected {self.d2}-d weaker features, got {x.shape[0]} rows")
         if self.scaler_weak is not None:
-            m_w = self.scaler_weak.apply(m_w)
-        out = self.deployment_forward(ad.constant(m_w, "m_w")).value
+            x = self.scaler_weak.apply_unchecked(x)
+        if not np.isfinite(x).all():
+            raise NumericError("m_w contains NaN or Inf")
+        out = self.deployment_forward(ad.unchecked_constant(x)).value
         if not np.isfinite(out).all():
             raise NumericError("predict: the model output holds NaN or Inf")
         return out
@@ -341,11 +349,20 @@ def _read_npy(zf: zipfile.ZipFile, path, name: str) -> Matrix:
     try:
         with zf.open(name) as fh:
             stored = np.lib.format.read_array(io.BytesIO(fh.read()), allow_pickle=False)
-        stored = np.asarray(stored, dtype=np.float64)
     except KeyError:
         raise ExportError(f"{path}: model file lacks member {name}") from None
-    except (zipfile.BadZipFile, ValueError, TypeError) as err:
+    # what a damaged member makes read_array raise: most faults are a
+    # ValueError, but its header parser lets a SyntaxError or tokenize's
+    # error out, and a declared shape that is not a size, or too large to
+    # allocate, a TypeError, OverflowError or MemoryError
+    except (zipfile.BadZipFile, ValueError, SyntaxError, tokenize.TokenError, TypeError, OverflowError,
+            MemoryError) as err:
         raise ExportError(f"{path}: member {name} is unreadable ({err})") from None
+    # a float64 holds every value of these kinds; a complex, date or text
+    # array is no parameter
+    if stored.dtype.kind not in "biuf":
+        raise ExportError(f"{path}: member {name} holds {stored.dtype} values, not real numbers")
+    stored = np.asarray(stored, dtype=np.float64)
     if not np.isfinite(stored).all():
         raise ExportError(f"{path}: member {name} holds NaN or Inf")
     return stored

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Sgd, make_rng
-from .data import Dataset, batcher, check_json_fields, standardize_dataset
+from .data import Dataset, batcher, check_json_fields, keys_checked, standardize_dataset
 from .dcca import cca_correlation
 from .errors import ConditioningError, ConfigError, DataError, NumericError
 from .networks import BLOCKS, GruRegressorSpec, MlpSpec, SewModel, assemble_sew, save_model
@@ -44,6 +44,7 @@ _TERM_BLOCKS = {
 }
 
 
+@keys_checked("config")
 @dataclass(frozen=True)
 class SewConfig:
     """Everything one training run depends on besides the data itself."""

@@ -22,14 +22,17 @@ from sew.autodiff import (
     Node,
     Sgd,
     affine,
+    array_ops,
     as_matrix,
     backward,
     constant,
     gated,
     make_rng,
     mse_loss,
+    sigmoid_value,
     sum_all,
     tanh_affine,
+    unchecked_constant,
     uniform_init,
     weighted_sum,
 )
@@ -501,6 +504,83 @@ _SIGMOID_EDGES = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e300, -1e300, 5e-324
 def test_sigmoid_matches_masked_two_branch_formula(values):
     v = np.array([values])
     assert sigmoid(Node(v)).value.tobytes() == masked_sigmoid(v).tobytes()
+
+
+# --- the array ops, pinned bitwise ------------------------------------------
+# Each reference is the plain numpy expression, written out here, that an
+# array op must equal byte for byte however it reuses its temporaries.
+
+
+def _ref_sigmoid(v):
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
+def _ref_affine(w, x, b):
+    return w @ x + b
+
+
+def _ref_tanh_affine(w, x, b):
+    return np.tanh(w @ x + b)
+
+
+def _ref_gated(w_z, b_z, w_h, b_h, x):
+    return _ref_sigmoid(w_z @ x + b_z) * np.tanh(w_h @ x + b_h)
+
+
+def _assert_same_bytes(got, want):
+    """Equal bytes entry by entry, except that a NaN need only be a NaN."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# +-0, subnormals, the edge of exp's range and past it, infinities and NaN
+_ARRAY_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0,
+                750.5, -750.5, 800.0, -800.0, np.inf, -np.inf, np.nan]
+# (rows, inputs, frames): one served frame through R, a desk minibatch, a
+# dev pass through R
+_ARRAY_SHAPES = [(120, 120, 1), (16, 32, 32), (120, 120, 500)]
+
+
+@pytest.mark.parametrize("rows, frames", [(r, n) for r, _, n in _ARRAY_SHAPES])
+def test_sigmoid_value_matches_its_reference_bitwise(rows, frames):
+    rng = make_rng(rows * frames, 90)
+    for scale in (1.0, 30.0, 1e300):
+        v = scale * rng.standard_normal((rows, frames))
+        v.flat[:len(_ARRAY_EDGES)] = _ARRAY_EDGES
+        before = v.copy()
+        with np.errstate(invalid="ignore"):
+            _assert_same_bytes(sigmoid_value(v), _ref_sigmoid(v))
+        assert v.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("rows, inputs, frames", _ARRAY_SHAPES)
+@pytest.mark.parametrize("layout", ["C", "F", "column of a wider array"])
+def test_array_ops_match_their_references_bitwise(rows, inputs, frames, layout):
+    rng = make_rng(rows * frames, 91)
+    wide = 3.0 * rng.standard_normal((inputs, 3 * frames))
+    x = {"C": np.ascontiguousarray(wide[:, :frames]), "F": np.asfortranarray(wide[:, :frames]),
+         "column of a wider array": wide[:, 1::3]}[layout]
+    arrays = []
+    for _ in range(2):
+        w = rng.standard_normal((rows, inputs)) / np.sqrt(inputs)
+        w[1, :2] = 1e308, -1e308  # an overflowing product, and inf - inf
+        w[2, 0] = 1e308
+        b = rng.standard_normal((rows, 1))
+        b[3:3 + len(_ARRAY_EDGES), 0] = _ARRAY_EDGES[:rows - 3]
+        arrays += [w, b]
+    w_z, b_z, w_h, b_h = map(unchecked_constant, arrays)
+    inputs_before = [a.copy() for a in (x, w_z.value, b_z.value, w_h.value, b_h.value)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_bytes(array_ops.affine(w_z, x, b_z), _ref_affine(w_z.value, x, b_z.value))
+        _assert_same_bytes(array_ops.tanh_affine(w_z, x, b_z), _ref_tanh_affine(w_z.value, x, b_z.value))
+        _assert_same_bytes(array_ops.gated(w_z, b_z, w_h, b_h, x),
+                           _ref_gated(w_z.value, b_z.value, w_h.value, b_h.value, x))
+    for after, before in zip((x, w_z.value, b_z.value, w_h.value, b_h.value), inputs_before):
+        assert after.tobytes() == before.tobytes()
 
 
 class TestSgd:

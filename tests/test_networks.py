@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import zipfile
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from sew.networks import (
     load_model,
     save_model,
 )
+from sew.presets import pair_config
 from sew.training import ABLATIONS, SewConfig, with_variant
 
 
@@ -358,6 +360,21 @@ def test_deployment_forward_matches_the_graph_bytewise(encoder, layers, hidden, 
                 model.predict(x)
 
 
+@pytest.mark.parametrize("frames", [1, 500])
+def test_deployment_forward_matches_the_graph_bytewise_at_the_published_widths(frames):
+    """W_E + R of the video_geo -> audio pairing, on a served frame (a
+    column of the stream's array, as a serving loop slices it) and on a
+    dev pass."""
+    config = pair_config("video_geo", "audio")
+    rng = make_rng(frames, 85)
+    model = SewModel(config.latent_dim, config.d1, config.d2,
+                     Mlp(config.w_encoder, config.d2, rng), GruRegressor(config.regressor, config.latent_dim, rng))
+    stream = 3.0 * rng.standard_normal((config.d2, 2 * frames))
+    x = stream[:, 1:2] if frames == 1 else stream[:, :frames]
+    graph = model.regressor.forward(model.w_encoder.forward(Node(x))).value
+    assert model.deployment_forward(Node(x)).value.tobytes() == graph.tobytes()
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**16), ablation=st.sampled_from(ABLATIONS), latent=st.integers(1, 3),
        deployment=st.booleans(), frames=st.integers(1, 9))
@@ -370,6 +387,15 @@ def test_save_load_round_trip_predicts_byte_equal(seed, ablation, latent, deploy
     loaded = load_model(io.BytesIO(buf.getvalue()))
     x = rng.standard_normal((3, frames)) * 5.0
     assert loaded.predict(x).tobytes() == model.predict(x).tobytes()
+
+
+def _npy_with_header(text: str):
+    """A .npy member edit: the same data under the header `text`."""
+    def edit(raw: bytes) -> bytes:
+        header = text.encode() + b"\n"
+        data = raw[10 + int.from_bytes(raw[8:10], "little"):]
+        return raw[:8] + len(header).to_bytes(2, "little") + header + data
+    return edit
 
 
 class TestSerialization:
@@ -577,6 +603,38 @@ class TestSerialization:
         with pytest.raises(ExportError) as exc:
             load_model(path)
         assert "w_encoder.layers.0.weight.npy" in str(exc.value)
+
+    @pytest.mark.parametrize("edit", [
+        # byte 11 opens the header's first string; "(" leaves a bracket
+        # open, which numpy's header parser meets with tokenize's error
+        lambda raw: raw[:11] + b"(" + raw[12:],
+        _npy_with_header("{'descr': '<f8', 'fortran_order': False, 'shape': (99999999999,), }"),
+        _npy_with_header("{'descr': '<f8', 'fortran_order': False, 'shape': (" + "9" * 30 + ",), }"),
+        _npy_with_header("{'descr': '<f8', 'fortran_order': False, 'shape': (True, 1), }"),
+    ])
+    def test_damaged_npy_header_named(self, tmp_path, edit):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        with zipfile.ZipFile(path) as zf:
+            members = {n: zf.read(n) for n in zf.namelist()}
+        name = "regressor.cells.0.b_h.npy"
+        members[name] = edit(members[name])
+        with zipfile.ZipFile(path, "w") as zf:
+            for n, payload in members.items():
+                zf.writestr(n, payload)
+        with pytest.raises(ExportError, match=rf"member {re.escape(name)} is unreadable"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dtype", ["<c16", "<M8[s]", "<U8"])
+    def test_member_of_no_real_dtype_named(self, tmp_path, dtype):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path)
+        name = "w_encoder.layers.0.bias.npy"
+        with zipfile.ZipFile(path) as zf:
+            array = np.lib.format.read_array(io.BytesIO(zf.read(name)))
+        self.replace_member(path, name, array.astype(dtype))
+        with pytest.raises(ExportError, match=rf"member {re.escape(name)} holds .* values, not real numbers"):
+            load_model(path)
 
     def test_shape_mismatch_detected(self, tmp_path):
         model = self.build("unimodal")
