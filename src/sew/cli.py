@@ -8,6 +8,8 @@ by hand for real feature dumps):
     dev_strong.csv    dev_weak.csv    dev_labels.csv
     dataset.json      (metadata; set "shift_pending": true to have the
                        configured label shift applied at load time)
+    .sew-cache/       (written by the loaders: each CSV's parsed table,
+                       keyed by its content; see sew.data)
 """
 
 from __future__ import annotations

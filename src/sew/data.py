@@ -13,6 +13,15 @@ one holding a NaN or Inf, is walked again row by row, to name the first bad
 `path:line` and column. Lines are physical lines: a row whose quoted cell
 holds a newline is named by the line it ends on. A file that is not UTF-8
 is refused with the first line that does not decode.
+
+Each file content is parsed once. A parsed table is kept beside the CSV,
+in `.sew-cache/<csv name>.<format tag>.<sha256 of the file>.npy`, and a
+later read of the same bytes loads it instead of parsing. A file that
+fails to parse is never kept. An entry that another user owns, that is
+not a finite, non-empty, 2-D float64 table, or that disagrees with the
+CSV (more cells than its bytes hold, another first row) is a miss, and
+the CSV is parsed again. A directory that cannot be written to, or that
+another user owns, is read as if there were no cache.
 """
 
 from __future__ import annotations
@@ -22,9 +31,15 @@ import functools
 import hashlib
 import json
 import math
+import os
+import re
+import time
+import tokenize
 import typing
+import uuid
 import warnings
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +52,20 @@ _STREAM_TRAIN = 12
 _STREAM_DEV = 13
 
 LABEL_TOL = 1e-9
+
+# what a damaged .npy makes numpy's reader raise: most faults are a
+# ValueError, but its header parser lets a SyntaxError or tokenize's error
+# out, and a declared shape that is not a size, or too large to allocate,
+# a TypeError, OverflowError or MemoryError
+NPY_FAULTS = (ValueError, SyntaxError, tokenize.TokenError, TypeError, OverflowError, MemoryError)
+
+# CSV ingest cache: the directory beside the CSVs, and the tag in each
+# entry's name. Change the tag with the accepted CSV format (module
+# docstring) or the entry layout, and every older entry misses.
+CACHE_DIR = ".sew-cache"
+_CACHE_TAG = "csv1"
+_HASH_CHUNK = 1 << 16  # bytes hashed per read: a larger read raises peak memory, not speed
+_RACY_NS = 10**8  # a file stamped this recently is hashed again before its table is kept
 
 # field type -> (whether a value in its saved, JSON form fits it, its name in
 # messages), for configs, specs and model files however built; a spec class
@@ -261,14 +290,123 @@ def _first_line_is_header(path) -> bool:
 
 
 def _read_numeric_csv(path, what: str) -> Matrix:
+    """Rows of floats -> n x d array: the cached table of the file's
+    content, or else numpy's parse of it, which is then cached."""
+    cache, name = Path(path).parent / CACHE_DIR, Path(path).name
+    since, before = time.time_ns(), os.stat(path)
+    digest = _file_sha256(path)
+    entry = f"{name}.{_CACHE_TAG}.{digest}.npy"
+    table = _cached_table(cache / entry, path, before.st_size)
+    if table is None:
+        table = _parse_numeric_csv(path, what)
+        # a file rewritten since it was hashed is not kept under the old digest
+        if _still_hashes_to(path, digest, before, since):
+            _store_table(cache, name, entry, table)
+    return table
+
+
+def _file_sha256(path) -> str:
+    """sha256 of the file's bytes, read in chunks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _still_hashes_to(path, digest: str, before: os.stat_result, since: int) -> bool:
+    """Whether the file still holds the bytes hashed as `digest`, given
+    its stat `before` the hash, taken at `since` (time.time_ns()).
+
+    A rewrite changes the stat, unless it lands in the same tick of the
+    file system's clock as the change before it; so a file modified or
+    changed within `_RACY_NS` of `since` (2 s on a file system that keeps
+    whole seconds) is hashed again instead."""
+    try:
+        after = os.stat(path)
+    except OSError:
+        return False
+    if _stat_key(after) != _stat_key(before):
+        return False
+    stamp = max(before.st_mtime_ns, before.st_ctime_ns)
+    racy = _RACY_NS if stamp % 10**9 else 2 * 10**9
+    return stamp < since - racy or _file_sha256(path) == digest
+
+
+def _stat_key(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _owned(st: os.stat_result) -> bool:
+    """Whether the current user owns the file (always, where there are no
+    user ids)."""
+    return not hasattr(os, "getuid") or st.st_uid == os.getuid()
+
+
+def _cached_table(entry: Path, csv_path, csv_size: int) -> Matrix | None:
+    """The table cached at `entry` for the CSV at `csv_path` (`csv_size`
+    bytes), or None when there is none or it cannot be that CSV's parse:
+    the cache or the entry belongs to another user; it is not a non-empty,
+    finite, C-ordered 2-D float64 array; it holds more cells than the CSV
+    has bytes for (each takes one and a comma or line break); or its first
+    row is not the CSV's."""
+    try:
+        if not _owned(os.lstat(entry.parent)):
+            return None
+        with open(entry, "rb") as fh:
+            if not _owned(os.fstat(fh.fileno())):
+                return None
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, *NPY_FAULTS):
+        return None
+    if not (table.ndim == 2 and table.dtype == np.float64 and table.flags.c_contiguous and table.size
+            and 2 * table.size - 1 <= csv_size and np.isfinite(table).all()):
+        return None
+    try:
+        first = _loadtxt(csv_path, _first_line_is_header(csv_path), max_rows=1)
+    except (ValueError, DataError):
+        return None
+    return table if first.tobytes() == table[:1].tobytes() else None
+
+
+def _store_table(cache: Path, csv_name: str, entry: str, table: Matrix) -> None:
+    """Write `table` to `cache/entry` through a temporary file of a unique
+    name and `os.replace`, then remove the entries of the CSV's other
+    contents. A directory that cannot be written to, or that belongs to
+    another user, is left as it was."""
+    tmp = cache / f"{entry}.{uuid.uuid4().hex}.tmp"
+    try:
+        cache.mkdir(exist_ok=True)
+        if not _owned(os.lstat(cache)):
+            return
+        try:
+            with open(tmp, "xb") as fh:
+                np.lib.format.write_array(fh, table, allow_pickle=False)
+            os.replace(tmp, cache / entry)
+        finally:
+            tmp.unlink(missing_ok=True)
+        older = re.compile(re.escape(csv_name) + r"\.[^.]+\.[0-9a-f]{64}\.npy")
+        for old in cache.iterdir():
+            if old.name != entry and older.fullmatch(old.name):
+                old.unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
+def _loadtxt(path, header: bool, max_rows=None) -> Matrix:
+    """numpy's C reader on the accepted CSV format."""
+    with warnings.catch_warnings():
+        # an empty or header-only file warns and yields no rows; `_parse_numeric_csv` refuses it
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2, encoding="utf-8-sig",
+                          skiprows=int(header), max_rows=max_rows)
+
+
+def _parse_numeric_csv(path, what: str) -> Matrix:
     """Rows of floats -> n x d array, parsed by numpy's C reader."""
     header = _first_line_is_header(path)
     try:
-        with warnings.catch_warnings():
-            # an empty or header-only file warns and yields no rows; refused below
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(path, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                               encoding="utf-8-sig", skiprows=int(header))
+        table = _loadtxt(path, header)
     except ValueError as err:
         _raise_located(path, what, header, str(err))
     if not table.size:

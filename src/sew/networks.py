@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import json
-import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, fields
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Matrix, Node, as_2d, make_rng, uniform_init
-from .data import _JSON_KINDS, Standardizer, check_json_fields, keys_checked
+from .data import _JSON_KINDS, NPY_FAULTS, Standardizer, check_json_fields, keys_checked
 from .errors import ConfigError, DimensionError, ExportError, NumericError
 
 # 2: the regressor's layers hold no recurrent or reset-gate weights. A
@@ -86,9 +85,25 @@ class GruRegressorSpec:
 
 
 def _param(rows: int, cols: int, fan_in: int, rng) -> Node:
+    """A weight drawn from `rng`; with no rng, `_shape_only`."""
     if rng is None:
-        return Node(np.zeros((rows, cols)))
+        return _shape_only(rows, cols)
     return Node(uniform_init(rows, cols, fan_in, rng))
+
+
+def _bias(rows: int, rng) -> Node:
+    """A zero bias column; with no rng, `_shape_only`."""
+    if rng is None:
+        return _shape_only(rows, 1)
+    return Node(np.zeros((rows, 1)))
+
+
+def _shape_only(rows: int, cols: int) -> Node:
+    """A read-only constant of shape rows x cols that allocates nothing (a
+    broadcast zero): what a block built with no rng holds until
+    `load_model` puts the stored member in its place, so that a width in
+    meta.json costs no memory before the member refutes it."""
+    return ad.unchecked_constant(np.broadcast_to(np.float64(0.0), (rows, cols)))
 
 
 class Linear:
@@ -96,7 +111,7 @@ class Linear:
 
     def __init__(self, in_dim: int, out_dim: int, rng):
         self.weight = _param(out_dim, in_dim, in_dim, rng)
-        self.bias = Node(np.zeros((out_dim, 1)))
+        self.bias = _bias(out_dim, rng)
 
     def forward(self, x, *, ops=ad):
         return ops.affine(self.weight, x, self.bias)
@@ -156,8 +171,8 @@ class GatedLayer:
         _discard(hidden, hidden, hidden, rng)
         self.w_h = _param(hidden, in_dim, in_dim, rng)
         _discard(hidden, hidden, hidden, rng)
-        self.b_z = Node(np.zeros((hidden, 1)))
-        self.b_h = Node(np.zeros((hidden, 1)))
+        self.b_z = _bias(hidden, rng)
+        self.b_h = _bias(hidden, rng)
 
     def forward(self, x, *, ops=ad):
         return ops.gated(self.w_z, self.b_z, self.w_h, self.b_h, x)
@@ -351,12 +366,7 @@ def _read_npy(zf: zipfile.ZipFile, path, name: str) -> Matrix:
             stored = np.lib.format.read_array(io.BytesIO(fh.read()), allow_pickle=False)
     except KeyError:
         raise ExportError(f"{path}: model file lacks member {name}") from None
-    # what a damaged member makes read_array raise: most faults are a
-    # ValueError, but its header parser lets a SyntaxError or tokenize's
-    # error out, and a declared shape that is not a size, or too large to
-    # allocate, a TypeError, OverflowError or MemoryError
-    except (zipfile.BadZipFile, ValueError, SyntaxError, tokenize.TokenError, TypeError, OverflowError,
-            MemoryError) as err:
+    except (zipfile.BadZipFile, *NPY_FAULTS) as err:
         raise ExportError(f"{path}: member {name} is unreadable ({err})") from None
     # a float64 holds every value of these kinds; a complex, date or text
     # array is no parameter
@@ -377,10 +387,11 @@ def _meta_int(path, key: str, value):
     return value
 
 
-def _rebuild_block(path, name: str, info):
-    """An all-zero block `name` of the shape `info`, its meta.json entry,
-    describes. `BLOCKS` gives its class; a stored "type" that disagrees is
-    refused."""
+def _rebuild_block(path, name: str, info, members: int):
+    """A block `name` of the shape `info`, its meta.json entry, describes,
+    holding `_shape_only` parameters. `BLOCKS` gives its class; a stored
+    "type" that disagrees is refused, and so is a layer count above the
+    file's `members`, since each layer stores its own."""
     key, cls = f"blocks.{name}", BLOCKS[name][3]
     if not isinstance(info, dict):
         raise ExportError(f"{path}: meta.json {key} must be a JSON object, got {info!r}")
@@ -388,6 +399,9 @@ def _rebuild_block(path, name: str, info):
         raise ExportError(f"{path}: meta.json {key}.type must be {json.dumps(cls.TYPE)}, "
                           f"got {json.dumps(info['type'])}")
     spec = cls.SPEC(**{f.name: _meta_int(path, f"{key}.{f.name}", info[f.name]) for f in fields(cls.SPEC)})
+    if getattr(spec, "num_layers", 0) > members:
+        raise ExportError(f"{path}: meta.json {key}.num_layers is {spec.num_layers}, but the file holds "
+                          f"{members} members")
     return cls(spec, _meta_int(path, f"{key}.input_dim", info["input_dim"]), None)
 
 
@@ -418,7 +432,8 @@ def load_model(path) -> SewModel:
                 if blocks.get(required) is None:
                     raise KeyError(required)
             widths = {key: _meta_int(path, key, meta[key]) for key in ("latent_dim", "d1", "d2")}
-            built = {name: _rebuild_block(path, name, blocks[name]) for name in BLOCKS if blocks.get(name) is not None}
+            built = {name: _rebuild_block(path, name, blocks[name], len(zf.infolist()))
+                     for name in BLOCKS if blocks.get(name) is not None}
             # an "ablation" key, which older files hold, is not read
             model = SewModel(**widths, **built)
             scalers = list(meta["scalers"])
@@ -438,9 +453,9 @@ def load_model(path) -> SewModel:
         for pname, param in model.named_parameters():
             stored = _read_npy(zf, path, pname + ".npy")
             if stored.shape != param.value.shape:
-                raise ExportError(f"{path}: parameter {pname} has shape {stored.shape}, expected {param.value.shape}")
+                raise ExportError(f"{path}: parameter {pname} has shape {stored.shape}, expected "
+                                  f"{param.value.shape} from meta.json blocks.{pname.split('.')[0]}")
             param.value = stored
-            param.grad = None
         for sname in scalers:
             if not isinstance(sname, str) or sname not in SCALERS:
                 raise ExportError(f"{path}: unknown scaler {sname!r} in meta.json")

@@ -1,10 +1,16 @@
 """Acceptance gate: the eight checks this package must pass before a release.
 
 Each test prints one PASS/FAIL line (visible under pytest -s) and enforces
-its own runtime budget. Criteria 4 and 5 share one set of training runs.
+its own runtime budget. Criteria 4 and 5 share one set of training runs;
+criterion 8 shares its first run with the golden-hash check.
 """
 
+import hashlib
+import json
+import os
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,13 +259,20 @@ def test_criterion_7_label_shift_arithmetic():
     budget(7, "label shift arithmetic", started, 1.0)
 
 
+def desk_seed0_run():
+    """(model, history) of desk `full` at seed 0, trained once."""
+    if "seed0" not in _cache:
+        train_set, dev_set = desk_sets()
+        _cache["seed0"] = train(desk_config(seed=0), train_set, dev_set)
+    return _cache["seed0"]
+
+
 def test_criterion_8_training_determinism(tmp_path):
     started = time.monotonic()
     train_set, dev_set = desk_sets()
-    cfg = desk_config(seed=0)
+    histories = {"a": desk_seed0_run()[1], "b": train(desk_config(seed=0), train_set, dev_set)[1]}
     paths = []
-    for name in ("a", "b"):
-        _, history = train(cfg, train_set, dev_set)
+    for name, history in histories.items():
         path = tmp_path / f"metrics_{name}.csv"
         write_history(path, history)
         paths.append(path)
@@ -267,3 +280,41 @@ def test_criterion_8_training_determinism(tmp_path):
     report(8, "identical runs produce identical epoch-metric CSVs", same,
            f"{len(paths[0].read_bytes())} bytes each")
     budget(8, "training determinism", started, 120.0)
+
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+
+def environment_key() -> dict:
+    """What the bytes of a run depend on besides the code: the numpy and
+    BLAS builds, the CPU (a DYNAMIC_ARCH BLAS picks its kernels by it) and
+    the BLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = "unknown"
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine(), "cpu": cpu,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def test_golden_hashes_of_the_desk_run(tmp_path):
+    """The desk seed-0 run of criterion 8 writes the metrics.csv and
+    model.npz that golden.json records for this environment."""
+    model, history = desk_seed0_run()
+    write_history(tmp_path / "metrics.csv", history)
+    save_model(model, tmp_path / "model.npz")
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("metrics.csv", "model.npz")}
+    key = environment_key()
+    entry = next((e for e in json.loads(GOLDEN.read_text())["entries"] if e["key"] == key), None)
+    if entry is None:
+        print(f"golden: no entry for {json.dumps(key)}; computed {json.dumps(got)}")
+        pytest.skip(f"no golden entry for {json.dumps(key)}; computed {json.dumps(got)}")
+    report("golden", "desk seed-0 metrics.csv and model.npz match golden.json", got == entry["sha256"],
+           json.dumps(got))

@@ -1,6 +1,11 @@
+import errno
+import hashlib
+import io
+import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 import sew.data
 from sew.autodiff import make_rng
 from sew.data import (
+    CACHE_DIR,
     Dataset,
     Standardizer,
     SyntheticSpec,
@@ -350,6 +356,256 @@ class TestReaderParity:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=r"f\.csv: no numeric feature rows"):
                 load_features(path)
+
+
+def cache_entries(directory: Path) -> list[str]:
+    cache = directory / CACHE_DIR
+    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+
+
+def entry_for(path: Path) -> Path:
+    """Where the table of `path`'s present content is cached."""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return path.parent / CACHE_DIR / f"{path.name}.csv1.{digest}.npy"
+
+
+def npy_bytes(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def never_parse(monkeypatch):
+    def parse(*args):
+        raise AssertionError("parsed a file whose content is cached")
+    monkeypatch.setattr(sew.data, "_parse_numeric_csv", parse)
+
+
+def deny_writes(monkeypatch):
+    """Make the data directory refuse every write as a read-only one does,
+    also where chmod binds no one (a root user)."""
+    def refuse(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "read-only directory")
+    real_open = open
+
+    def open_read_only(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wxa+"):
+            refuse()
+        return real_open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    monkeypatch.setattr(sew.data, "open", open_read_only, raising=False)
+    for name in ("replace", "unlink"):
+        monkeypatch.setattr(sew.data.os, name, refuse)
+
+
+class TestIngestCache:
+    """Each CSV content is parsed once; later reads load the cached table."""
+
+    @pytest.mark.parametrize("text", [
+        "1.0,2.0\n3.0,4.0\n",
+        "mfcc_0,mfcc_1\n1.0,2.0\n\n3.0,4.0\n",
+        "\ufeff1.0,2.0\r\n3.0,4.0\r\n",
+        "\ufeffa,b\n1e-320,-0.0\n",
+        '" 1.5 ",\t2\n 3.0 ,"-4e2"\n',
+    ], ids=["no-header", "header", "bom", "bom-header", "quoted-padded"])
+    def test_hit_returns_the_bytes_of_the_parse(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        parsed = sew.data._read_numeric_csv(path, "feature")
+        assert cache_entries(tmp_path) == [entry_for(path).name]
+        never_parse(monkeypatch)
+        cached = sew.data._read_numeric_csv(path, "feature")
+        assert (cached.shape, cached.dtype, cached.strides, cached.tobytes()) == \
+            (parsed.shape, parsed.dtype, parsed.strides, parsed.tobytes())
+        assert load_features(path).tobytes() == parsed.T.tobytes()
+
+    def test_one_digit_edit_of_the_same_size_and_time_misses(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("0.25\n0.5\n")
+        np.testing.assert_array_equal(load_labels(path), [[0.25, 0.5]])
+        stat = path.stat()
+        path.write_text("0.25\n0.7\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        np.testing.assert_array_equal(load_labels(path), [[0.25, 0.7]])
+        assert cache_entries(tmp_path) == [entry_for(path).name]
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw, table: raw[:len(raw) - 8],  # truncated data
+        lambda raw, table: raw[:40],  # truncated header
+        lambda raw, table: raw[:11] + b"(" + raw[12:],  # header that does not parse
+        lambda raw, table: b"",
+        lambda raw, table: npy_bytes(table.astype(np.float32)),
+        lambda raw, table: npy_bytes(table.astype(">f8")),
+        lambda raw, table: npy_bytes(table.ravel()),
+        lambda raw, table: npy_bytes(np.asfortranarray(table)),
+        lambda raw, table: npy_bytes(table[:0]),
+        lambda raw, table: npy_bytes(np.where(table == 4.0, np.nan, table)),
+        lambda raw, table: npy_bytes(np.where(table == 4.0, -np.inf, table)),
+        lambda raw, table: npy_bytes(np.array([{"a": 1}], dtype=object), allow_pickle=True),
+    ], ids=["truncated", "short-header", "bad-header", "empty", "float32", "big-endian", "1-d", "fortran",
+            "no-rows", "nan", "inf", "pickle"])
+    def test_bad_entry_misses_and_is_replaced(self, tmp_path, damage):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        table = sew.data._read_numeric_csv(path, "feature")
+        entry = entry_for(path)
+        entry.write_bytes(damage(entry.read_bytes(), table))
+        assert sew.data._read_numeric_csv(path, "feature").tobytes() == table.tobytes()
+        assert cache_entries(tmp_path) == [entry.name]
+        assert np.load(entry).tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("cached_before", [False, True], ids=["no-cache", "stale-entry"])
+    def test_read_only_directory_loads_and_writes_nothing(self, tmp_path, monkeypatch, cached_before):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0\n")
+        if cached_before:
+            load_features(path)
+        path.write_text("5.0,6.0\n")
+        before = sorted((p.relative_to(tmp_path), p.read_bytes() if p.is_file() else None)
+                        for p in tmp_path.rglob("*"))
+        tmp_path.chmod(0o555)
+        try:
+            deny_writes(monkeypatch)
+            np.testing.assert_array_equal(load_features(path), [[5.0], [6.0]])
+            monkeypatch.undo()
+        finally:
+            tmp_path.chmod(0o755)
+        assert sorted((p.relative_to(tmp_path), p.read_bytes() if p.is_file() else None)
+                      for p in tmp_path.rglob("*")) == before
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        writes = []
+
+        def disk_full(fh, array, **kwargs):
+            writes.append(fh.name)
+            fh.write(b"\x93NUMPY")
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(sew.data.np.lib.format, "write_array", disk_full)
+        np.testing.assert_array_equal(load_features(path), [[1.0, 3.0], [2.0, 4.0]])
+        assert len(writes) == 1 and cache_entries(tmp_path) == []
+        monkeypatch.undo()
+        load_features(path)
+        assert cache_entries(tmp_path) == [entry_for(path).name]
+
+    def test_replacing_a_file_leaves_one_entry_for_it(self, tmp_path):
+        a, b, a2 = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "a.csv2"
+        for path in (a, b, a2):
+            path.write_text("1.0\n")
+            load_labels(path)
+        # an entry of an older format tag is an older content too
+        old_tag = tmp_path / CACHE_DIR / f"a.csv.csv0.{'0' * 64}.npy"
+        old_tag.write_bytes(b"")
+        for value in ("0.5", "0.25", "-0.125"):
+            a.write_text(f"{value}\n")
+            assert load_labels(a)[0, 0] == float(value)
+        assert cache_entries(tmp_path) == sorted(entry_for(p).name for p in (a, b, a2))
+
+    def test_file_rewritten_between_hash_and_parse_is_not_cached(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0\n")
+        parse = sew.data._parse_numeric_csv
+
+        def rewrite_then_parse(p, what):
+            path.write_text("7.0,8.0\n")
+            return parse(p, what)
+        monkeypatch.setattr(sew.data, "_parse_numeric_csv", rewrite_then_parse)
+        np.testing.assert_array_equal(load_features(path), [[7.0], [8.0]])
+        monkeypatch.undo()
+        assert cache_entries(tmp_path) == []
+        path.write_text("1.0,2.0\n")
+        np.testing.assert_array_equal(load_features(path), [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("text", ["1.0,oops\n", "a,b\n", "1.0,nan\n", "1.0\n2.0,3.0\n", "\xff\n"])
+    def test_file_that_fails_is_never_cached(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode("latin-1"))
+        for _ in range(2):
+            with pytest.raises(DataError):
+                load_features(path)
+        assert cache_entries(tmp_path) == []
+
+    def test_file_larger_than_a_hash_chunk(self, tmp_path, monkeypatch):
+        values = make_rng(6, 70).standard_normal((3, 40_000))
+        path = tmp_path / "f.csv"
+        write_csv(path, values)
+        assert path.stat().st_size > 2 * sew.data._HASH_CHUNK
+        load_features(path)
+        never_parse(monkeypatch)
+        assert load_features(path).tobytes() == values.tobytes()
+        assert cache_entries(tmp_path) == [entry_for(path).name]
+
+
+    @pytest.mark.parametrize("plant", [
+        lambda table: np.tile(table, (3, 1)),  # more cells than the CSV's 16 bytes hold
+        lambda table: table[::-1].copy(),  # another first row
+        lambda table: np.hstack([table, table[:, :1]]),  # another column
+    ], ids=["more-rows", "other-first-row", "more-columns"])
+    def test_entry_that_disagrees_with_the_csv_misses_and_is_replaced(self, tmp_path, plant):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        table = sew.data._read_numeric_csv(path, "feature")
+        entry = entry_for(path)
+        entry.write_bytes(npy_bytes(plant(table)))
+        assert sew.data._read_numeric_csv(path, "feature").tobytes() == table.tobytes()
+        assert np.load(entry).tobytes() == table.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"), reason="no user ids")
+    @pytest.mark.parametrize("foreign", ["entry", "directory"])
+    def test_cache_of_another_user_is_not_read(self, tmp_path, monkeypatch, foreign):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        table = sew.data._read_numeric_csv(path, "feature")
+        entry = entry_for(path)
+        planted = table.copy()
+        planted[1] += 1.0  # past every check but the owner's
+        entry.write_bytes(npy_bytes(planted))
+        real_stat = os.fstat if foreign == "entry" else os.lstat
+
+        def owned_by_another(target):
+            st = real_stat(target)
+            return os.stat_result((st.st_mode, st.st_ino, st.st_dev, st.st_nlink, st.st_uid + 1, *st[5:10]))
+        monkeypatch.setattr(sew.data.os, "fstat" if foreign == "entry" else "lstat", owned_by_another)
+        assert sew.data._read_numeric_csv(path, "feature").tobytes() == table.tobytes()
+        # an entry of another user's in one's own directory is replaced; a
+        # directory of another user's is not written to
+        assert (np.load(entry).tobytes() == table.tobytes()) == (foreign == "entry")
+
+    def test_old_file_rewritten_between_hash_and_parse_is_not_cached(self, tmp_path, monkeypatch):
+        # read 10 s after it was written, so its stat, not a second hash,
+        # tells the rewrite, even with its time stamp put back
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0\n")
+        stat = path.stat()
+        monkeypatch.setattr(sew.data.time, "time_ns", lambda: stat.st_ctime_ns + 10**10)
+        parse = sew.data._parse_numeric_csv
+
+        def rewrite_then_parse(p, what):
+            path.write_text("7.0,8.0\n")
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            return parse(p, what)
+        monkeypatch.setattr(sew.data, "_parse_numeric_csv", rewrite_then_parse)
+        np.testing.assert_array_equal(load_features(path), [[7.0], [8.0]])
+        assert cache_entries(tmp_path) == []
+
+    # a copy that keeps its source's time stamp (cp -p) is new by its change time
+    @pytest.mark.parametrize("age_s, stamped_back_s, hashes", [(10.0, 0, 1), (0.0, 0, 2), (0.0, 10, 2)],
+                             ids=["old", "new", "new-stamped-old"])
+    def test_a_miss_hashes_an_old_file_once_and_a_new_one_twice(self, tmp_path, monkeypatch, age_s, stamped_back_s,
+                                                                hashes):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0\n")
+        stamp = path.stat().st_mtime_ns - stamped_back_s * 10**9
+        os.utime(path, ns=(stamp, stamp))
+        now = path.stat().st_ctime_ns + int(age_s * 1e9)
+        monkeypatch.setattr(sew.data.time, "time_ns", lambda: now)
+        calls = mock.Mock(wraps=sew.data._file_sha256)
+        monkeypatch.setattr(sew.data, "_file_sha256", calls)
+        load_features(path)
+        assert calls.call_count == hashes
+        assert cache_entries(tmp_path) == [entry_for(path).name]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,22 +1,31 @@
-"""Fuzzing of two input surfaces: model files and specs built in Python.
+"""Fuzzing of three input surfaces: model files, specs built in Python and
+dataset directories.
 
-The property is the same for both: a call either succeeds or raises a
+The property is the same for all: a call either succeeds or raises a
 SewError, never another exception. Every test is derandomized and bounded
 (hypothesis with a fixed example count), so the suite stays deterministic
 and finishes in a few seconds.
 """
 
+import contextlib
 import io
 import json
 import math
+import signal
+import tempfile
+import tracemalloc
 import zipfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sew.data import Standardizer, SyntheticSpec
+import sew.data
+from sew import cli
+from sew.data import CACHE_DIR, Standardizer, SyntheticSpec
 from sew.errors import SewError
 from sew.networks import GruRegressorSpec, MlpSpec, assemble_sew, load_model, save_model
 from sew.presets import desk_config
@@ -54,6 +63,20 @@ def _zipped(members: dict) -> bytes:
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def _load_and_serve(payload: bytes) -> None:
     """load_model, then predict on a few frames of the width it read; any
     SewError is an accepted outcome."""
@@ -64,10 +87,13 @@ def _load_and_serve(payload: bytes) -> None:
         pass
 
 
-# JSON values of every kind, none so large that a width built from it
-# would need more than a few kB
+# JSON values of every kind, and widths and counts far too large to
+# allocate: a width read from meta.json allocates nothing before the
+# member of that width is read and refutes it, and a layer count above the
+# file's member count is refused before a layer is built
+_HUGE = [10**7, 2**40, 2**62, 10**30]
 _JSON_VALUES = st.sampled_from([None, True, False, 0, -1, 1, 2, 7, 2.5, -0.0, "", "mlp", "x", [], [1], [2, "a"],
-                                [[3]], {}, {"a": 1}, {"hidden": 2}])
+                                [[3]], {}, {"a": 1}, {"hidden": 2}, *_HUGE, [_HUGE[0]], [3, _HUGE[1]]])
 
 
 def _meta_paths(meta, prefix=()):
@@ -80,6 +106,8 @@ def _meta_paths(meta, prefix=()):
 
 @_FUZZ
 @given(kind=st.sampled_from(sorted(_FILES)), pick=st.integers(0, 10**6), delete=st.booleans(), value=_JSON_VALUES)
+@example(kind="deployment", pick=4, delete=False, value=10**7)  # blocks.regressor.num_layers
+@example(kind="training", pick=2, delete=False, value=10**30)  # blocks.regressor.hidden
 def test_meta_values_retyped_or_deleted(kind, pick, delete, value):
     members = _members(kind)
     meta = json.loads(members["meta.json"])
@@ -93,7 +121,14 @@ def test_meta_values_retyped_or_deleted(kind, pick, delete, value):
     else:
         holder[key] = value
     members["meta.json"] = json.dumps(meta).encode()
-    _load_and_serve(_zipped(members))
+    tracemalloc.start()
+    try:
+        with _time_limit(10.0):
+            _load_and_serve(_zipped(members))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"{'.'.join(map(str, parents + [key]))} = {value!r}: peak {peak / 1e6:.1f} MB"
 
 
 @_FUZZ
@@ -182,3 +217,72 @@ def test_wrong_shape_errors_name_the_field(build, message):
     with pytest.raises(SewError) as exc:
         build()
     assert str(exc.value) == message
+
+
+# --- dataset directories ----------------------------------------------------
+
+def _desk_dir() -> dict:
+    """The files of a small `sew gen-data` directory, by name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "data"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["gen-data", "--out", str(out), "--seed", "3", "--d1", "4", "--d2", "3", "--n-train", "100",
+                      "--n-dev", "12"])
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+_DIR = _desk_dir()
+# bytes that each break a rule of the accepted format, or keep to it
+_INSERTS = [b",", b"\n", b"\r\n", b'"', b" ", b"\t", b"#", b"nan", b"inf", b"-", b"e999", b"1e-400", b"1_0",
+            b"\xff", b"\xef\xbb\xbf", b"\xd9\xa1", b"\x00", b"0", b"a,b\n", b"\n\n"]
+
+
+def _load_outcome(data_dir: Path, split: str, shift_seconds):
+    """The arrays `_load_split` returns, with their layout, or the message
+    of the SewError it raises."""
+    try:
+        with _time_limit(10.0):
+            ds = cli._load_split(data_dir, split, shift_seconds, 0.04)
+    except SewError as err:
+        return str(err)
+    return [(a.shape, a.dtype.str, a.strides, a.tobytes()) for a in (ds.m_s, ds.m_w, ds.labels)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_DIR)), edit=st.sampled_from(["insert", "delete", "truncate", "retype"]),
+       at=st.integers(0, 10**6), span=st.integers(1, 40), insert=st.sampled_from(range(len(_INSERTS))),
+       value=_JSON_VALUES, split=st.sampled_from(["train", "dev"]), shift=st.sampled_from([None, 0.0, 0.04, 0.2]))
+def test_dataset_dirs_mutated_load_cold_then_warm(name, edit, at, span, insert, value, split, shift):
+    files = dict(_DIR)
+    raw = files[name]
+    at %= len(raw) + 1
+    if edit == "insert":
+        raw = raw[:at] + _INSERTS[insert] * (1 + span % 3) + raw[at:]
+    elif edit == "delete":
+        raw = raw[:at] + raw[at + span:]
+    elif edit == "truncate":
+        raw = raw[:at]
+    elif name == "dataset.json":  # retype one value, or the whole object
+        meta = json.loads(raw)
+        paths = list(_meta_paths(meta))
+        pick = at % (len(paths) + 1)
+        if pick == len(paths):
+            meta = value
+        else:
+            *parents, key = paths[pick]
+            holder = meta
+            for p in parents:
+                holder = holder[p]
+            holder[key] = value
+        raw = json.dumps(meta).encode()
+    files[name] = raw
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp)
+        for fname, payload in files.items():
+            (data_dir / fname).write_bytes(payload)
+        cold = _load_outcome(data_dir, split, shift)
+        with mock.patch.object(sew.data, "_parse_numeric_csv", wraps=sew.data._parse_numeric_csv) as parse:
+            warm = _load_outcome(data_dir, split, shift)
+        assert warm == cold
+        # a load that succeeded cached its three tables, and the next one parses none
+        assert isinstance(cold, str) or (parse.call_count == 0 and len(list((data_dir / CACHE_DIR).iterdir())) == 3)

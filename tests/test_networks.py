@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -635,6 +636,40 @@ class TestSerialization:
         self.replace_member(path, name, array.astype(dtype))
         with pytest.raises(ExportError, match=rf"member {re.escape(name)} holds .* values, not real numbers"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda meta: meta["blocks"]["regressor"].update(hidden=10_000_000), "blocks.regressor"),
+        (lambda meta: meta["blocks"]["w_encoder"].update(layer_sizes=[10**12, meta["latent_dim"]]),
+         "blocks.w_encoder"),
+        (lambda meta: [meta.update(d2=2**40), meta["blocks"]["w_encoder"].update(input_dim=2**40)],
+         "blocks.w_encoder"),
+    ], ids=["hidden", "layer-width", "input-width"])
+    def test_huge_width_allocates_nothing_before_the_member_refutes_it(self, tmp_path, edit, key):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path, deployment=True)
+        self.rewrite_meta(path, edit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExportError, match=rf"has shape \(.*\), expected \(.*\) from meta\.json {key}$"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_layer_count_above_the_member_count_is_refused_before_a_layer_is_built(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(self.build(), path, deployment=True)
+        self.rewrite_meta(path, lambda meta: meta["blocks"]["regressor"].update(num_layers=20_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExportError, match=r"meta\.json blocks\.regressor\.num_layers is 20000, but the file "
+                                                  r"holds \d+ members$"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_shape_mismatch_detected(self, tmp_path):
         model = self.build("unimodal")
